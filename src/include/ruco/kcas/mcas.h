@@ -21,10 +21,25 @@
 // descriptors carry tag 01 (RDCSS) or 10 (MCAS) in the low bits.  Values
 // must therefore fit 61 bits plus sign -- checked, loud.
 //
-// Memory: descriptors are allocated from per-process arenas and never
-// reclaimed while the McasArray lives -- the restricted-use memory model
-// used across ruco (bounded operations, no reclamation protocol), which
-// also kills descriptor ABA by construction.
+// Memory: descriptors are reclaimed by epochs (ruco/reclaim/ebr.h).  mcas
+// pins for the whole operation.  The thread that allocated an RDCSS
+// descriptor retires it once rdcss() returns (it is unparked by then and
+// nothing parks it again); the owner retires the MCAS descriptor, which
+// also holds the words and the owner's first-attempt RDCSS descriptors,
+// after phase 2.  read() keeps a pin-free
+// fast path for plain values and pins only to help.  While a thread that
+// loaded a descriptor pointer is pinned the descriptor cannot be freed, so
+// no address can be reused under a pending CAS: descriptor ABA stays ruled
+// out, as it was when descriptors lived as long as the array.
+//
+// The MCAS descriptor waits two grace periods, not one.  A helper that
+// read the status as undecided may have parked an RDCSS descriptor that
+// still points at it, and any thread completing that RDCSS may write the
+// MCAS descriptor back into its cell after the owner's phase 2 -- which
+// threads pinned after the retire can then load.  Every such helper was
+// pinned before the decision and runs its own phase 2 before unpinning,
+// so after one grace period no cell or parked RDCSS holds the descriptor,
+// and after a second no thread does.
 //
 // Step accounting counts every CAS/load on the cells (helping included),
 // so the benchmarks show the true base-object cost of a software k-CAS:
@@ -34,7 +49,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "ruco/core/types.h"
@@ -51,9 +66,9 @@ struct McasWord {
 
 class McasArray {
  public:
-  /// n cells, all initialized to `init`.  `num_processes` sizes the
-  /// per-process descriptor arenas; every operation takes the caller's
-  /// ProcId like the rest of ruco.
+  /// n cells, all initialized to `init`, shared by `num_processes`
+  /// processes; every operation takes the caller's ProcId like the rest of
+  /// ruco.
   McasArray(std::uint32_t num_cells, Value init, std::uint32_t num_processes);
   McasArray(const McasArray&) = delete;
   McasArray& operator=(const McasArray&) = delete;
@@ -93,11 +108,26 @@ class McasArray {
     Word desired = 0;   // MCAS-descriptor-tagged
   };
 
+  // One allocation: the header, `size` words sorted by index, then `size`
+  // RDCSS descriptors for the owner's first acquisition attempt of each
+  // word.  Each of those is parked at most once, like a fresh one, and
+  // lives as long as the MCAS descriptor; helpers and retries allocate.
   struct McasDescriptor {
     std::atomic<std::uintptr_t> status{
         static_cast<std::uintptr_t>(Status::kUndecided)};
-    std::vector<McasWord> words;  // sorted by index
+    std::size_t size = 0;
+
+    [[nodiscard]] std::span<McasWord> words() noexcept {
+      return {reinterpret_cast<McasWord*>(this + 1), size};
+    }
+    [[nodiscard]] RdcssDescriptor* owner_rdcss() noexcept {
+      return reinterpret_cast<RdcssDescriptor*>(words().data() + size);
+    }
+    [[nodiscard]] static std::size_t bytes(std::size_t size) noexcept;
+    static void destroy(void* d) noexcept;
   };
+  static_assert(sizeof(McasDescriptor) % alignof(McasWord) == 0);
+  static_assert(sizeof(McasWord) % alignof(RdcssDescriptor) == 0);
 
   static constexpr Word kTagMask = 3;
   static constexpr Word kRdcssTag = 1;
@@ -125,17 +155,20 @@ class McasArray {
   /// word or an MCAS descriptor tag -- never an RDCSS tag).
   Word rdcss(RdcssDescriptor* d);
   void rdcss_complete(RdcssDescriptor* d);
+  /// Deleter of RDCSS descriptors allocated by mcas_help.
+  static void destroy_rdcss(void* d) noexcept;
+  /// The descriptor of a validated, sorted word list, not yet published.
+  [[nodiscard]] McasDescriptor* make_descriptor(
+      const std::vector<McasWord>& words);
   /// HFP Figure 3: drives `d` to completion (possibly helping); returns
-  /// whether it succeeded.
-  bool mcas_help(ProcId proc, McasDescriptor* d);
+  /// whether it succeeded.  The caller is pinned; only d's owner passes
+  /// `owner` = true, to use d's embedded RDCSS descriptors.
+  bool mcas_help(McasDescriptor* d, bool owner = false);
+  /// read()'s slow path: pins, then reloads the cell and helps until it
+  /// holds a value.
+  Value read_helping(std::uint32_t index);
 
   std::vector<runtime::PaddedAtomic<Word>> cells_;
-  // Owner-only appenders; deque keeps descriptor addresses stable.
-  struct alignas(runtime::kCacheLine) Arena {
-    std::deque<McasDescriptor> mcas;
-    std::deque<RdcssDescriptor> rdcss;
-  };
-  std::vector<Arena> arenas_;
 };
 
 }  // namespace ruco::kcas

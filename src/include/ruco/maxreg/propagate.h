@@ -10,7 +10,19 @@
 // our child update; if the second also fails, the interfering CAS read the
 // children after our first attempt, hence already covers our update (the
 // paper's Lemma 9 / Invariant 1 argument).  Monotonicity is what rules out
-// ABA, which is why the LL/SC -> CAS substitution is sound here.
+// ABA, which is why the LL/SC -> CAS substitution is sound here.  For
+// pointer aggregates (the f-array snapshot's views) ABA is ruled out by
+// address freshness instead: every combine allocates a new view, and the
+// caller runs the whole propagation pinned (ruco/reclaim/ebr.h), so a view
+// it loaded cannot be freed -- let alone re-allocated at the same address
+// and re-installed -- before its CAS.
+//
+// Disposal.  Each CAS winner hands the value it replaced to
+// `dispose.replaced` (it is unlinked from that node for good: exactly one
+// CAS removes it), and a combine that is not installed -- the CAS lost, or
+// the no-change skip fired -- goes to `dispose.discarded`: it was never
+// published, so no other thread can hold it.  KeepValues, the default,
+// does nothing, as plain integer aggregates need.
 //
 // Conditional refresh (RefreshPolicy::kConditional, the default).  The
 // argument above makes the second round *conditional* on losing the first:
@@ -73,16 +85,27 @@
 
 namespace ruco::maxreg {
 
+/// The disposal of plain aggregates: nothing to free.
+struct KeepValues {
+  template <typename T>
+  void replaced(const T& /*old_value*/) const noexcept {}
+  template <typename T>
+  void discarded(const T& /*new_value*/) const noexcept {}
+};
+
 /// Propagates from the *parent* of `start` up to the root of `shape`.
 /// `values[n]` is the atomic cell of node n; `combine(l, r)` computes the
 /// new aggregate from the two child values.  T must be trivially copyable,
 /// equality-comparable, and the sequence of values at every cell monotone
-/// under `combine` (see file comment).
-template <typename Shape, typename T, typename Combine>
+/// under `combine` (see file comment).  `dispose` receives every value a
+/// won CAS replaced and every combine that was not installed.
+template <typename Shape, typename T, typename Combine,
+          typename Disposal = KeepValues>
 void propagate_twice(const Shape& shape,
                      std::vector<runtime::PaddedAtomic<T>>& values,
                      typename Shape::NodeId start, Combine&& combine,
-                     RefreshPolicy policy = RefreshPolicy::kConditional) {
+                     RefreshPolicy policy = RefreshPolicy::kConditional,
+                     Disposal&& dispose = {}) {
   using NodeId = typename Shape::NodeId;
   const bool conditional = policy == RefreshPolicy::kConditional;
   // Batched telemetry: tally in locals, publish once per propagation so the
@@ -110,6 +133,7 @@ void propagate_twice(const Shape& shape,
       const T new_value = combine(lv, rv);
       if (conditional && new_value == old_value) {
         // Pure-load level: the node already holds the covering aggregate.
+        dispose.discarded(new_value);
         ++skipped;
         break;
       }
@@ -118,8 +142,10 @@ void propagate_twice(const Shape& shape,
       if (values[n].value.compare_exchange_strong(old_value, new_value,
                                                   runtime::mo_release,
                                                   runtime::mo_relaxed)) {
+        dispose.replaced(old_value);
         if (conditional) break;  // won: combine read after our child update
       } else {
+        dispose.discarded(new_value);
         ++failures;
         if (round == 0) ++second_rounds;
       }

@@ -10,15 +10,24 @@
 // Omega(log N), and the f-array meets it.
 //
 // Every node stores a pointer to an immutable View of its subtree's
-// (value, seq) pairs.  Merging allocates a fresh View from the updating
-// process's arena; pointers never repeat, so CAS is ABA-free, and views are
-// componentwise seq-monotone, so the double-CAS propagation argument of
-// Algorithm A (Lemmas 8-9) applies verbatim.  Views live until the object
-// dies: the restricted-use memory model (bounded updates, no reclamation).
+// (value, seq) pairs: one allocation, header and entries inline.  Merging
+// allocates a fresh View; views are componentwise seq-monotone, so the
+// double-CAS propagation argument of Algorithm A (Lemmas 8-9) applies
+// verbatim.
+//
+// Memory is reclaimed by epochs (ruco/reclaim/ebr.h).  scan and update pin
+// for their whole duration; the CAS winner at a node retires the view it
+// replaced, the owner retires its old leaf view, and a merged view whose
+// CAS lost was never published and is freed at once.  A retired view stays
+// allocated while any thread that could have loaded it is pinned, so no
+// address a propagation loaded can be reused under it: CAS stays ABA-free,
+// and the live memory of the object is bounded by its current views (one
+// per node) plus the views awaiting their grace period, whatever the
+// number of updates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "ruco/core/types.h"
@@ -30,6 +39,9 @@ namespace ruco::snapshot {
 class FArraySnapshot {
  public:
   explicit FArraySnapshot(std::uint32_t num_processes);
+  ~FArraySnapshot();
+  FArraySnapshot(const FArraySnapshot&) = delete;
+  FArraySnapshot& operator=(const FArraySnapshot&) = delete;
 
   /// Atomically sets segment `proc` to v >= 0.  O(log N) steps.
   void update(ProcId proc, Value v);
@@ -49,18 +61,31 @@ class FArraySnapshot {
     Value value = 0;
     std::uint64_t seq = 0;
   };
+  // Immutable once published.  `size` entries follow the header in the
+  // same allocation, one per leaf of the node's subtree, ordered by leaf
+  // index.
   struct View {
-    std::vector<Entry> entries;  // one per leaf of the node's subtree,
-                                 // ordered by leaf index
-  };
+    std::size_t size;
 
-  [[nodiscard]] const View* merge(ProcId proc, const View* l, const View* r);
+    [[nodiscard]] Entry* entries() noexcept {
+      return reinterpret_cast<Entry*>(this + 1);
+    }
+    [[nodiscard]] const Entry* entries() const noexcept {
+      return reinterpret_cast<const Entry*>(this + 1);
+    }
+    [[nodiscard]] static std::size_t bytes(std::size_t size) noexcept;
+    [[nodiscard]] static View* make(std::size_t size);
+    static void destroy(void* view) noexcept;
+  };
+  static_assert(sizeof(View) % alignof(Entry) == 0);
+
+  struct RetireViews;
+
+  [[nodiscard]] static const View* merge(const View* l, const View* r);
 
   std::uint32_t n_;
   util::TreeShape shape_;
   std::vector<runtime::PaddedAtomic<const View*>> nodes_;
-  std::deque<View> initial_views_;          // built at construction
-  std::vector<std::deque<View>> arenas_;    // owner-only appenders
   std::vector<runtime::PaddedAtomic<std::uint64_t>> seq_;  // per-writer
 };
 

@@ -35,6 +35,11 @@ struct ProdMetrics {
   Counter mcas_rdcss_helps;    // rdcss_complete invoked by a reader
   Counter mcas_cas_failures;   // failed phase-1 rdcss acquisitions
 
+  // reclaim: epoch-based reclamation of snapshot views and descriptors.
+  // retired - freed is the number of objects awaiting their grace period.
+  Counter reclaim_retired;  // objects queued by reclaim::retire
+  Counter reclaim_freed;    // ... whose deleter has run
+
   // farray: Write-and-f-array operations.
   Counter farray_updates;
   Counter farray_reads;

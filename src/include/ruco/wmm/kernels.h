@@ -3,7 +3,7 @@
 // constants, with their correctness conditions as machine-checked
 // invariants over all RC11-consistent executions.
 //
-// Five kernels cover the order table in DESIGN.md ("Hot-path
+// Six kernels cover the order table in DESIGN.md ("Hot-path
 // engineering"):
 //
 //   propagate-counter/{conditional,always-twice}
@@ -36,6 +36,16 @@
 //       status decide CAS publishes helper-side writes back.  Invariant:
 //       no torn descriptor read (all plain reads see the published
 //       values, race-free).
+//
+//   reclaim-grace-period
+//       The epoch-reclamation handshake from ruco/reclaim/ebr.h: a reader
+//       pins (slot store, seq_cst fence), loads the root with acquire and
+//       reads the view behind it, then unpins; a reclaimer unlinks the
+//       view with a release CAS, issues its seq_cst fence and frees the
+//       view (a plain write) only if it finds the slot unpinned.  The
+//       epoch counter between the two sides is abstracted away: one slot
+//       check stands for the grace period.  Invariant: the free never
+//       races the read.
 //
 // mutation_sites() weakens each load-bearing mo_* use-site one at a
 // time; run_mutation_driver() asserts the explorer exhibits a concrete
@@ -78,6 +88,23 @@ struct McasOrders {
   std::memory_order status_read = runtime::mo_acquire;
 };
 
+/// Per-site orders of the reclamation handshake, mirroring
+/// ruco/reclaim/ebr.h (pin, seal, advance) and the f-array snapshot's
+/// root load and propagate CAS.  All literal: ebr.h does not route its
+/// orders through memorder.h, and the root load and CAS are checked at
+/// their hand-tuned orders even when RUCO_SEQCST_ATOMICS strengthens them
+/// in production (which can only remove executions), so every build
+/// checks -- and mutates -- the same handshake.
+struct ReclaimOrders {
+  std::memory_order pin_store = std::memory_order_release;
+  std::memory_order pin_fence = std::memory_order_seq_cst;
+  std::memory_order root_load = std::memory_order_acquire;
+  std::memory_order unpin_store = std::memory_order_release;
+  std::memory_order unlink_cas = std::memory_order_release;
+  std::memory_order reclaim_fence = std::memory_order_seq_cst;
+  std::memory_order slot_load = std::memory_order_acquire;
+};
+
 struct Kernel {
   std::string name;
   std::string description;
@@ -91,6 +118,7 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o = {});
 Kernel make_root_read_kernel(const PropagateOrders& o = {});
 Kernel make_leaf_handoff_kernel(const PropagateOrders& o = {});
 Kernel make_mcas_publication_kernel(const McasOrders& o = {});
+Kernel make_reclaim_grace_period_kernel(const ReclaimOrders& o = {});
 
 /// All kernels at the shipped orders.  The acceptance bar: zero
 /// violations, search complete.
@@ -109,6 +137,11 @@ struct MutationSite {
 
 std::vector<MutationSite> mutation_sites();
 
+/// The reclamation handshake's sites (reclaim-grace-period kernel).  Kept
+/// out of mutation_sites(), whose count the repository benchmark's verify
+/// workload pins; rucosim wmm and wmm_test run both lists.
+std::vector<MutationSite> reclaim_mutation_sites();
+
 struct MutationOutcome {
   std::string id;
   std::string note;
@@ -122,6 +155,9 @@ struct MutationOutcome {
 
 /// Weakens every site and collects what the explorer finds.  Every
 /// outcome must report found() == true.
+std::vector<MutationOutcome> run_mutation_driver(
+    const std::vector<MutationSite>& sites);
+/// The driver over mutation_sites().
 std::vector<MutationOutcome> run_mutation_driver();
 
 }  // namespace ruco::wmm

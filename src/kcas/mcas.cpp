@@ -1,8 +1,11 @@
 #include "ruco/kcas/mcas.h"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 #include <stdexcept>
 
+#include "ruco/reclaim/ebr.h"
 #include "ruco/runtime/backoff.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/runtime/stepcount.h"
@@ -28,8 +31,7 @@
 namespace ruco::kcas {
 
 McasArray::McasArray(std::uint32_t num_cells, Value init,
-                     std::uint32_t num_processes)
-    : arenas_(num_processes) {
+                     std::uint32_t num_processes) {
   if (num_cells == 0) throw std::invalid_argument{"McasArray: 0 cells"};
   if (num_processes == 0) {
     throw std::invalid_argument{"McasArray: 0 processes"};
@@ -83,7 +85,36 @@ McasArray::Word McasArray::rdcss(RdcssDescriptor* d) {
   }
 }
 
-bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
+std::size_t McasArray::McasDescriptor::bytes(std::size_t size) noexcept {
+  return sizeof(McasDescriptor) +
+         size * (sizeof(McasWord) + sizeof(RdcssDescriptor));
+}
+
+void McasArray::McasDescriptor::destroy(void* d) noexcept {
+  reclaim::deallocate(d, bytes(static_cast<McasDescriptor*>(d)->size));
+}
+
+void McasArray::destroy_rdcss(void* d) noexcept {
+  reclaim::deallocate(d, sizeof(RdcssDescriptor));
+}
+
+McasArray::McasDescriptor* McasArray::make_descriptor(
+    const std::vector<McasWord>& words) {
+  const std::size_t n = words.size();
+  void* mem = reclaim::allocate(McasDescriptor::bytes(n));
+  auto* d = ::new (mem) McasDescriptor;
+  d->size = n;
+  std::uninitialized_copy(words.begin(), words.end(), d->words().begin());
+  for (std::size_t i = 0; i < n; ++i) {
+    ::new (d->owner_rdcss() + i) RdcssDescriptor{
+        &d->status, static_cast<std::uintptr_t>(Status::kUndecided),
+        &cells_[words[i].index].value, pack_value(words[i].expected),
+        tag_mcas(d)};
+  }
+  return d;
+}
+
+bool McasArray::mcas_help(McasDescriptor* d, bool owner) {
   runtime::step_tick();
   if (d->status.load(runtime::mo_acquire) ==
       static_cast<std::uintptr_t>(Status::kUndecided)) {
@@ -91,24 +122,34 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
     // operation gets decided under us (the RDCSS control check) or a word
     // no longer matches.
     auto desired_status = static_cast<std::uintptr_t>(Status::kSucceeded);
-    for (const McasWord& word : d->words) {
+    for (std::size_t i = 0; i < d->size; ++i) {
+      const McasWord& word = d->words()[i];
+      RdcssDescriptor* embedded = owner ? d->owner_rdcss() + i : nullptr;
       runtime::Backoff backoff;
       for (;;) {
-        RdcssDescriptor* rd = &arenas_[proc].rdcss.emplace_back();
-        rd->control = &d->status;
-        rd->expected_control =
-            static_cast<std::uintptr_t>(Status::kUndecided);
-        rd->cell = &cells_[word.index].value;
-        rd->expected = pack_value(word.expected);
-        rd->desired = tag_mcas(d);
+        RdcssDescriptor* rd = embedded;
+        if (rd == nullptr) {
+          rd = ::new (reclaim::allocate(sizeof(RdcssDescriptor)))
+              RdcssDescriptor{&d->status,
+                              static_cast<std::uintptr_t>(Status::kUndecided),
+                              &cells_[word.index].value,
+                              pack_value(word.expected), tag_mcas(d)};
+        }
         const Word content = rdcss(rd);
+        if (rd == embedded) {
+          embedded = nullptr;  // used up; freed with d
+        } else {
+          // rdcss() unparked rd before returning and only it parks rd, so
+          // no thread that pins from now on can reach it.
+          reclaim::retire(rd, &destroy_rdcss);
+        }
         if (is_mcas(content)) {
           if (as_mcas(content) != d) {
             // A different MCAS holds the word: help it finish, then retry
             // after a bounded backoff (helping storms thrash the word's
             // line; the helped op has already made our progress).
             telemetry::prod().mcas_helps.inc();
-            mcas_help(proc, as_mcas(content));
+            mcas_help(as_mcas(content));
             backoff.pause();
             continue;
           }
@@ -137,7 +178,7 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
   const bool success =
       d->status.load(runtime::mo_acquire) ==
       static_cast<std::uintptr_t>(Status::kSucceeded);
-  for (const McasWord& word : d->words) {
+  for (const McasWord& word : d->words()) {
     Word parked = tag_mcas(d);
     runtime::step_tick();
     cells_[word.index].value.compare_exchange_strong(
@@ -147,7 +188,17 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
   return success;
 }
 
-Value McasArray::read(ProcId proc, std::uint32_t index) {
+Value McasArray::read(ProcId /*proc*/, std::uint32_t index) {
+  runtime::step_tick();
+  const Word w = cells_[index].value.load(runtime::mo_acquire);
+  if ((w & kTagMask) == 0) [[likely]] return unpack_value(w);
+  // A descriptor, loaded unpinned: it may be freed already, so pin and
+  // reload rather than dereference it.
+  return read_helping(index);
+}
+
+Value McasArray::read_helping(std::uint32_t index) {
+  const reclaim::Guard pin;
   runtime::Backoff backoff;
   for (;;) {
     runtime::step_tick();
@@ -160,7 +211,7 @@ Value McasArray::read(ProcId proc, std::uint32_t index) {
     }
     if (is_mcas(w)) {
       telemetry::prod().mcas_helps.inc();
-      mcas_help(proc, as_mcas(w));
+      mcas_help(as_mcas(w));
       backoff.pause();
       continue;
     }
@@ -168,7 +219,7 @@ Value McasArray::read(ProcId proc, std::uint32_t index) {
   }
 }
 
-bool McasArray::mcas(ProcId proc, std::vector<McasWord> words) {
+bool McasArray::mcas(ProcId /*proc*/, std::vector<McasWord> words) {
   if (words.empty()) return true;
   std::sort(words.begin(), words.end(),
             [](const McasWord& a, const McasWord& b) {
@@ -185,9 +236,12 @@ bool McasArray::mcas(ProcId proc, std::vector<McasWord> words) {
     (void)pack_value(words[i].desired);
   }
   telemetry::prod().mcas_ops.inc();
-  McasDescriptor* d = &arenas_[proc].mcas.emplace_back();
-  d->words = std::move(words);
-  return mcas_help(proc, d);
+  const reclaim::Guard pin;
+  McasDescriptor* d = make_descriptor(words);
+  const bool ok = mcas_help(d, /*owner=*/true);
+  // Two grace periods: helpers may write d back after phase 2 (mcas.h).
+  reclaim::retire(d, &McasDescriptor::destroy, /*grace_periods=*/2);
+  return ok;
 }
 
 }  // namespace ruco::kcas

@@ -103,14 +103,18 @@ RunThreadsResult run_threads(std::size_t count,
         result.hang.stuck.push_back(i);
       }
     }
-    std::string diag = "run_threads watchdog: deadline of " +
-                       std::to_string(watchdog.deadline.count()) +
-                       " ms passed with " +
-                       std::to_string(result.hang.stuck.size()) + " of " +
-                       std::to_string(count) + " workers still running;" +
-                       " stuck thread index(es):";
+    // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+    // "literal" + std::string&& (GCC bug 105651).
+    std::string diag = "run_threads watchdog: deadline of ";
+    diag += std::to_string(watchdog.deadline.count());
+    diag += " ms passed with ";
+    diag += std::to_string(result.hang.stuck.size());
+    diag += " of ";
+    diag += std::to_string(count);
+    diag += " workers still running; stuck thread index(es):";
     for (const std::size_t i : result.hang.stuck) {
-      diag += " " + std::to_string(i);
+      diag += ' ';
+      diag += std::to_string(i);
     }
     result.hang.diagnostic = std::move(diag);
     if (watchdog.on_hang) {

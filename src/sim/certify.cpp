@@ -35,9 +35,16 @@ std::string drive(System& sys, FaultInjector& injector, std::uint64_t bound,
     ++slots;
     if (outcome == FaultInjector::Outcome::kStepped &&
         sys.steps_taken(p) > bound) {
-      return "p" + std::to_string(p) + " exceeded the step bound (" +
-             std::to_string(sys.steps_taken(p)) + " > " +
-             std::to_string(bound) + " steps); not wait-free under crashes";
+      // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+      // "literal" + std::string&& (GCC bug 105651).
+      std::string diag = "p";
+      diag += std::to_string(p);
+      diag += " exceeded the step bound (";
+      diag += std::to_string(sys.steps_taken(p));
+      diag += " > ";
+      diag += std::to_string(bound);
+      diag += " steps); not wait-free under crashes";
+      return diag;
     }
     if (!sys.active(p)) {  // completed or crashed
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
@@ -47,8 +54,10 @@ std::string drive(System& sys, FaultInjector& injector, std::uint64_t bound,
     }
   }
   if (!live.empty()) {
-    return "p" + std::to_string(live.front()) +
-           " still active after the schedule budget (blocked survivor)";
+    std::string diag = "p";
+    diag += std::to_string(live.front());
+    diag += " still active after the schedule budget (blocked survivor)";
+    return diag;
   }
   return {};
 }

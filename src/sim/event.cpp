@@ -17,29 +17,48 @@ const char* to_string(Prim p) noexcept {
 }
 
 std::string Event::to_string() const {
-  std::string s = "p" + std::to_string(proc) + " " + sim::to_string(prim) +
-                  " o" + std::to_string(obj);
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+  // "literal" + std::string&& (GCC bug 105651).
+  std::string s = "p";
+  s += std::to_string(proc);
+  if (prim == Prim::kKcas) {
+    s += " kcas";
+    for (const auto& entry : kcas) {
+      s += " o";
+      s += std::to_string(entry.obj);
+      s += '(';
+      s += std::to_string(entry.expected);
+      s += "->";
+      s += std::to_string(entry.desired);
+      s += ')';
+    }
+    s += " = ";
+    s += observed != 0 ? "ok" : "fail";
+  } else {
+    s += ' ';
+    s += sim::to_string(prim);
+    s += " o";
+    s += std::to_string(obj);
+  }
   switch (prim) {
     case Prim::kRead:
-      s += " -> " + std::to_string(observed);
+      s += " -> ";
+      s += std::to_string(observed);
       break;
     case Prim::kWrite:
-      s += " := " + std::to_string(arg);
+      s += " := ";
+      s += std::to_string(arg);
       break;
     case Prim::kCas:
-      s += "(" + std::to_string(expected) + " -> " + std::to_string(arg) +
-           ") = " + (observed != 0 ? "ok" : "fail");
+      s += '(';
+      s += std::to_string(expected);
+      s += " -> ";
+      s += std::to_string(arg);
+      s += ") = ";
+      s += observed != 0 ? "ok" : "fail";
       break;
-    case Prim::kKcas: {
-      s = "p" + std::to_string(proc) + " kcas";
-      for (const auto& entry : kcas) {
-        s += " o" + std::to_string(entry.obj) + "(" +
-             std::to_string(entry.expected) + "->" +
-             std::to_string(entry.desired) + ")";
-      }
-      s += std::string{" = "} + (observed != 0 ? "ok" : "fail");
+    case Prim::kKcas:
       break;
-    }
   }
   if (spurious) s += " [spurious]";
   if (!changed) s += " [trivial]";

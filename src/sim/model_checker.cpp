@@ -744,10 +744,16 @@ std::string render_schedule(const Program& program,
     if (is_crash_choice(choice)) {
       const ProcId p = choice_proc(choice);
       if (!sys.crash(p)) {
-        out += "<process p" + std::to_string(p) + " not crashable>\n";
+        // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+        // "literal" + std::string&& (GCC bug 105651).
+        out += "<process p";
+        out += std::to_string(p);
+        out += " not crashable>\n";
         break;
       }
-      out += "p" + std::to_string(p) + " CRASH\n";
+      out += 'p';
+      out += std::to_string(p);
+      out += " CRASH\n";
       continue;
     }
     if (!sys.step(choice)) {

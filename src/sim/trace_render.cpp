@@ -57,7 +57,8 @@ std::string render_trace(const Trace& trace, std::size_t num_processes,
   }
   std::string out;
   for (std::size_t p = 0; p < num_processes; ++p) {
-    const std::string head = "p" + std::to_string(p);
+    std::string head = "p";  // not "p" + ...: GCC 12 -O3 -Wrestrict (105651)
+    head += std::to_string(p);
     out += head + std::string(width[p] - head.size() + 2, ' ');
   }
   out += '\n';

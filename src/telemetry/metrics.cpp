@@ -25,6 +25,8 @@ ProdMetrics make_prod_metrics() {
   m.mcas_helps = r.counter("mcas", "helps");
   m.mcas_rdcss_helps = r.counter("mcas", "rdcss_helps");
   m.mcas_cas_failures = r.counter("mcas", "cas_failures");
+  m.reclaim_retired = r.counter("reclaim", "retired");
+  m.reclaim_freed = r.counter("reclaim", "freed");
   m.farray_updates = r.counter("farray", "updates");
   m.farray_reads = r.counter("farray", "reads");
   m.harness_runs = r.counter("runtime", "harness_runs");

@@ -133,7 +133,9 @@ void sim_timeline(const sim::System& sys, TimelineWriter& out,
   const std::size_t n = sys.num_processes();
   out.set_process_name(kPid, "simulator");
   for (std::uint32_t p = 0; p < n; ++p) {
-    out.set_thread_name(kPid, p, "P" + std::to_string(p));
+    std::string name = "P";  // not "P" + ...: GCC 12 -O3 -Wrestrict (105651)
+    name += std::to_string(p);
+    out.set_thread_name(kPid, p, name);
   }
   std::vector<std::uint64_t> last_event(n, 0);
   std::vector<bool> stepped(n, false);

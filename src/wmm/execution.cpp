@@ -506,7 +506,13 @@ std::string Graph::signature() const {
 std::string Graph::label(EventId id) const {
   const Event& e = events_[id];
   if (e.thread == kInitThread) return "init(" + (*locs_)[e.loc].name + ")";
-  return "T" + std::to_string(e.thread) + "." + std::to_string(e.index);
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+  // "literal" + std::string&& (GCC bug 105651).
+  std::string s = "T";
+  s += std::to_string(e.thread);
+  s += '.';
+  s += std::to_string(e.index);
+  return s;
 }
 
 std::string Graph::render() const {

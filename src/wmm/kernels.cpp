@@ -231,6 +231,46 @@ Kernel make_mcas_publication_kernel(const McasOrders& o) {
   return k;
 }
 
+Kernel make_reclaim_grace_period_kernel(const ReclaimOrders& o) {
+  constexpr Value kOld = 1;     // "pointer to" the view being retired
+  constexpr Value kNew = 2;     // its replacement
+  constexpr Value kPinned = 1;  // slot value while the reader is pinned
+  constexpr Value kFreed = 99;  // what the free writes over the view
+  Kernel k;
+  k.name = "reclaim-grace-period";
+  k.description =
+      "epoch reclamation (reclaim/ebr.h): pin fence vs unlink fence, the "
+      "free of an unlinked view never races a pinned reader";
+  auto root = k.program.atomic<Value>("root", kOld);  // loc 0
+  auto slot = k.program.atomic<Value>("slot", 0);     // loc 1
+  auto view = k.program.plain<Value>("view", 42);     // loc 2
+  k.program.thread([=] {
+    // Reader (FArraySnapshot::scan): pin, load the root, read its view,
+    // unpin.
+    slot.store(kPinned, o.pin_store);
+    fence(o.pin_fence);
+    const Value r = root.load(o.root_load);
+    observe(r);
+    if (r == kOld) observe(view.load());
+    slot.store(0, o.unpin_store);
+  });
+  k.program.thread([=] {
+    // Reclaimer: unlink (the propagate CAS), then the seal/advance fence
+    // and slot check; an unpinned slot ends the grace period.
+    Value e = kOld;
+    root.compare_exchange_strong(e, kNew, o.unlink_cas,
+                                 std::memory_order_relaxed);
+    fence(o.reclaim_fence);
+    const Value s = slot.load(o.slot_load);
+    observe(s);
+    if (s == 0) view.store(kFreed);
+  });
+  k.invariant = [](const Graph& g) -> std::string {
+    return check_plain_reads(g, 2, 42);
+  };
+  return k;
+}
+
 std::vector<Kernel> protocol_kernels() {
   std::vector<Kernel> out;
   out.push_back(
@@ -241,6 +281,7 @@ std::vector<Kernel> protocol_kernels() {
   out.push_back(make_root_read_kernel());
   out.push_back(make_leaf_handoff_kernel());
   out.push_back(make_mcas_publication_kernel());
+  out.push_back(make_reclaim_grace_period_kernel());
   return out;
 }
 
@@ -372,9 +413,60 @@ std::vector<MutationSite> mutation_sites() {
   return out;
 }
 
+std::vector<MutationSite> reclaim_mutation_sites() {
+  std::vector<MutationSite> out;
+  auto add = [&](std::string id, std::string note,
+                 std::function<Kernel()> make) {
+    MutationSite site;
+    site.id = std::move(id);
+    site.note = std::move(note);
+    site.make = std::move(make);
+    out.push_back(std::move(site));
+  };
+  add("reclaim-grace-period:pin_fence sc->acq_rel",
+      "without the seq_cst pin fence the reader's root load may miss the "
+      "unlink while the reclaimer misses the pin (store buffering): the "
+      "free races the read of a view the reader still holds",
+      [] {
+        ReclaimOrders o;
+        o.pin_fence = std::memory_order_acq_rel;
+        return make_reclaim_grace_period_kernel(o);
+      });
+  add("reclaim-grace-period:reclaim_fence sc->acq_rel",
+      "without the seq_cst fence after the unlink the epoch/slot check may "
+      "miss the pin while the reader misses the unlink (store buffering)",
+      [] {
+        ReclaimOrders o;
+        o.reclaim_fence = std::memory_order_acq_rel;
+        return make_reclaim_grace_period_kernel(o);
+      });
+  add("reclaim-grace-period:slot_load acq->rlx",
+      "a relaxed slot load sees the unpin but not the reads before it: "
+      "the free races the reader's last read",
+      [] {
+        ReclaimOrders o;
+        o.slot_load = std::memory_order_relaxed;
+        return make_reclaim_grace_period_kernel(o);
+      });
+  add("reclaim-grace-period:unpin_store rel->rlx",
+      "a relaxed unpin publishes nothing: the reclaimer that sees it "
+      "frees under the reader's read",
+      [] {
+        ReclaimOrders o;
+        o.unpin_store = std::memory_order_relaxed;
+        return make_reclaim_grace_period_kernel(o);
+      });
+  return out;
+}
+
 std::vector<MutationOutcome> run_mutation_driver() {
+  return run_mutation_driver(mutation_sites());
+}
+
+std::vector<MutationOutcome> run_mutation_driver(
+    const std::vector<MutationSite>& sites) {
   std::vector<MutationOutcome> out;
-  for (const MutationSite& site : mutation_sites()) {
+  for (const MutationSite& site : sites) {
     const Kernel kernel = site.make();
     const ExploreResult res = check_kernel(kernel, /*max_violations=*/1);
     MutationOutcome mo;

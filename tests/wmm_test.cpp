@@ -326,6 +326,39 @@ TEST(WmmMutation, EveryWeakenedSiteHasAViolatingExecution) {
   EXPECT_TRUE(saw_pr4) << "the PR-4 regression site must stay pinned";
 }
 
+TEST(WmmMutation, ReclaimHandshakeSitesAllHaveViolatingExecutions) {
+  // Both seq_cst fences of the epoch handshake are load-bearing (store
+  // buffering without either), and so is the release/acquire pair that
+  // hands a reader's last read to the reclaimer that sees its unpin.
+  const auto outcomes =
+      wmm::run_mutation_driver(wmm::reclaim_mutation_sites());
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const wmm::MutationOutcome& mo : outcomes) {
+    SCOPED_TRACE(mo.id);
+    EXPECT_TRUE(mo.found())
+        << "weakening this site should be observable: " << mo.note;
+    EXPECT_EQ(mo.sample_kind, "data-race");
+    EXPECT_FALSE(mo.sample_dump.empty());
+  }
+}
+
+TEST(WmmKernels, ReclaimKernelSeesBothSidesOfTheRace) {
+  // The shipped handshake admits executions where the reader holds the
+  // old view (and the reclaimer must not free) and ones where it is freed.
+  const wmm::ExploreResult res =
+      wmm::check_kernel(wmm::make_reclaim_grace_period_kernel());
+  ASSERT_TRUE(res.ok());
+  bool reader_held_old = false;
+  bool freed = false;
+  for (const auto& outcome : res.outcomes) {
+    // Outcome tuple: reader (root, [view]), reclaimer (slot).
+    if (outcome.size() == 3 && outcome[0] == 1) reader_held_old = true;
+    if (outcome.back() == 0) freed = true;
+  }
+  EXPECT_TRUE(reader_held_old);
+  EXPECT_TRUE(freed);
+}
+
 TEST(WmmMutation, Pr4NodeLoadRegressionStaysMustFail) {
   // The permanent regression litmus: propagate_twice with the node load
   // weakened back to relaxed (the exact PR-4 bug) must exhibit a lost

@@ -581,7 +581,13 @@ int cmd_wmm(const Args& args) {
 
   std::cout << "\n== mutation driver (each weakened site must be refuted) ==\n";
   ruco::Table mt{{"weakened site", "violations", "pinned", "verdict"}};
-  for (const auto& m : ruco::wmm::run_mutation_driver()) {
+  std::vector<ruco::wmm::MutationOutcome> outcomes =
+      ruco::wmm::run_mutation_driver();
+  for (auto& m :
+       ruco::wmm::run_mutation_driver(ruco::wmm::reclaim_mutation_sites())) {
+    outcomes.push_back(std::move(m));
+  }
+  for (const auto& m : outcomes) {
     mt.add(m.id, m.violation_count, m.pr4_regression ? "PR-4" : "",
            m.found() ? "refuted (ok)" : "NOT REFUTED (FAIL)");
     if (!m.found()) {
