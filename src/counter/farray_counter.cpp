@@ -2,40 +2,25 @@
 
 #include <cassert>
 
-#include "ruco/maxreg/propagate.h"
-#include "ruco/runtime/memorder.h"
-#include "ruco/runtime/stepcount.h"
-
 namespace ruco::counter {
 
-namespace {
 // Leaves start at 0 (a counter's components are counts, not max values).
-constexpr Value combine_sum(Value l, Value r) noexcept { return l + r; }
-}  // namespace
-
 FArrayCounter::FArrayCounter(std::uint32_t num_processes)
-    : n_{num_processes},
-      shape_{util::complete_shape(num_processes)},
-      values_(shape_.node_count(), runtime::PaddedAtomic<Value>{0}),
+    : counts_{num_processes, 0},
       local_count_(num_processes, runtime::PaddedAtomic<Value>{0}) {}
 
-Value FArrayCounter::read(ProcId /*proc*/) const {
-  runtime::step_tick();
-  return values_[shape_.root()].value.load(runtime::mo_acquire);
+Value FArrayCounter::read(ProcId proc) const {
+  return counts_.read_aggregate(proc);
 }
 
 void FArrayCounter::increment(ProcId proc) {
-  assert(proc < n_);
+  assert(proc < num_processes());
   // local_count_ is process-private bookkeeping (each slot written by one
   // process only); relaxed suffices and it is not a shared-memory step.
   const Value next =
       local_count_[proc].value.load(std::memory_order_relaxed) + 1;
   local_count_[proc].value.store(next, std::memory_order_relaxed);
-  const auto leaf = shape_.leaf(proc);
-  runtime::step_tick();
-  // Release pairs with propagate_twice's acquire child loads.
-  values_[leaf].value.store(next, runtime::mo_release);
-  maxreg::propagate_twice(shape_, values_, leaf, combine_sum);
+  counts_.update(proc, next);
 }
 
 }  // namespace ruco::counter

@@ -8,15 +8,16 @@
 // update-optimal too: with f(N) = O(1) reads, increments must cost
 // Omega(log N) -- exactly what this object pays.  Sums of single-writer,
 // non-decreasing leaves are monotone, so the CAS substitution is ABA-free
-// (see propagate.h).
+// (see propagate.h).  The tree is a farray::SumFArray with one slot per
+// process; this class adds only the per-process count mirror.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ruco/core/types.h"
+#include "ruco/farray/farray.h"
 #include "ruco/runtime/padded.h"
-#include "ruco/util/tree_shape.h"
 
 namespace ruco::counter {
 
@@ -30,12 +31,12 @@ class FArrayCounter {
   /// Adds one to the count on behalf of process `proc`.  O(log N) steps.
   void increment(ProcId proc);
 
-  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
+  [[nodiscard]] std::uint32_t num_processes() const noexcept {
+    return counts_.num_slots();
+  }
 
  private:
-  std::uint32_t n_;
-  util::TreeShape shape_;
-  std::vector<runtime::PaddedAtomic<Value>> values_;
+  farray::SumFArray counts_;  // slot p: process p's increments
   // Process-local mirror of the (single-writer) leaf: saves the leaf read.
   // Padded so neighbouring processes' mirrors do not false-share.
   std::vector<runtime::PaddedAtomic<Value>> local_count_;

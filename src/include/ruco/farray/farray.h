@@ -15,14 +15,15 @@
 // *smaller* value to a slot under Max) are not linearizable through this
 // construction; the tests demonstrate the failure mode.
 //
-// FArrayCounter, FArraySnapshot and Algorithm A's propagation are the three
-// specializations the paper's storyline needs; this template is the
-// general component a downstream user would reach for (e.g. min/max
-// watermarks, monotone bitmask unions).
+// This class owns every Value-typed tree of the library: FArrayCounter is a
+// SumFArray, and Algorithm A's TreeMaxRegister is a MaxFArray over
+// util::algorithm_a_shape.  FArraySnapshot keeps its own pointer cells
+// and shares only the propagation loop.  Downstream users reach for it
+// directly (min/max watermarks, monotone bitmask unions).
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ruco/core/types.h"
@@ -37,21 +38,22 @@ namespace ruco::farray {
 template <typename Combine>
 class FArray {
  public:
-  /// N slots, all initialized to `identity` (which must satisfy
-  /// combine(identity, x) == x).
+  /// N slots over a left-complete tree, all initialized to `identity`
+  /// (which must satisfy combine(identity, x) == x).
   FArray(std::uint32_t num_slots, Value identity, Combine combine = {})
-      : n_{num_slots},
-        identity_{identity},
-        combine_{combine},
-        shape_{util::complete_shape(num_slots)},
+      : FArray{util::complete_shape(num_slots), identity, combine} {}
+
+  /// One slot per leaf of `shape` (slot i is leaf ordinal i), every node
+  /// initialized to `identity`.  An update costs O(depth of its leaf).
+  FArray(util::TreeShape shape, Value identity, Combine combine = {})
+      : combine_{combine},
+        shape_{std::move(shape)},
         values_(shape_.node_count(), runtime::PaddedAtomic<Value>{identity}) {
-    if (num_slots == 0) throw std::invalid_argument{"FArray: 0 slots"};
   }
 
   /// Sets slot `slot` (single writer per slot) and refreshes the path.
-  /// O(log N) steps.
+  /// O(depth of the slot's leaf) steps: O(log N) on the complete tree.
   void update(ProcId slot, Value v) {
-    telemetry::prod().farray_updates.inc();
     const auto leaf = shape_.leaf(slot);
     runtime::step_tick();
     // Release pairs with the acquire child loads in propagate_twice (ours
@@ -60,9 +62,15 @@ class FArray {
     maxreg::propagate_twice(shape_, values_, leaf, combine_);
   }
 
+  /// Refreshes the path above slot `slot` without writing it: makes the
+  /// aggregate cover whatever the slot holds.  Used by writers that find
+  /// their slot already written by someone else.
+  void refresh(ProcId slot) {
+    maxreg::propagate_twice(shape_, values_, shape_.leaf(slot), combine_);
+  }
+
   /// The aggregate over all slots.  One step.
   [[nodiscard]] Value read_aggregate(ProcId /*proc*/) const {
-    telemetry::prod().farray_reads.inc();
     runtime::step_tick();
     return values_[shape_.root()].value.load(runtime::mo_acquire);
   }
@@ -73,12 +81,14 @@ class FArray {
     return values_[shape_.leaf(slot)].value.load(runtime::mo_acquire);
   }
 
-  [[nodiscard]] std::uint32_t num_slots() const noexcept { return n_; }
-  [[nodiscard]] Value identity() const noexcept { return identity_; }
+  [[nodiscard]] std::uint32_t num_slots() const noexcept {
+    return static_cast<std::uint32_t>(shape_.leaf_count());
+  }
+  [[nodiscard]] const util::TreeShape& shape() const noexcept {
+    return shape_;
+  }
 
  private:
-  std::uint32_t n_;
-  Value identity_;
   Combine combine_;
   util::TreeShape shape_;
   std::vector<runtime::PaddedAtomic<Value>> values_;

@@ -1,6 +1,7 @@
-// The double-refresh propagation loop shared by Algorithm A's max register
-// and the f-array counter / snapshot (Hendler & Khait Algorithm A lines 3-9;
-// Jayanti's Tree Algorithm adapted from LL/SC to CAS).
+// The double-refresh propagation loop shared by farray::FArray (Algorithm
+// A's max register, the f-array counter) and the f-array snapshot
+// (Hendler & Khait Algorithm A lines 3-9; Jayanti's Tree Algorithm adapted
+// from LL/SC to CAS).
 //
 // At every node on the path from `start` to the root, the caller's combine
 // function is evaluated over the two children and CASed into the node.
@@ -24,18 +25,20 @@
 // published, so no other thread can hold it.  KeepValues, the default,
 // does nothing, as plain integer aggregates need.
 //
-// Conditional refresh (RefreshPolicy::kConditional, the default).  The
-// argument above makes the second round *conditional* on losing the first:
-// a won CAS installed a combine computed from child values read after our
-// child update, so the node covers us and round two is pure overhead.
+// Conditional refresh.  The argument above makes the second round
+// *conditional* on losing the first: a won CAS installed a combine
+// computed from child values read after our child update, so the node
+// covers us and round two is pure overhead.
 // Likewise, when the combine equals the value the node already holds there
 // is nothing to install: the node held the covering value at our load, and
 // node values are monotone under combine, so it covers us forever after --
 // the level costs three loads and no CAS at all.  On the uncontended path
-// this halves CAS traffic per level (one CAS instead of two); the model
-// checker exhaustively verifies the pruned protocol against the
-// kAlwaysTwice oracle at small N (tests/hotpath_test.cpp) and the ablation
-// bench quantifies the step savings.
+// this halves CAS traffic per level (one CAS instead of two).  The
+// unconditional two-round loop survives only as the differential oracle
+// of the simulation and weak-memory layers (RefreshPolicy::kAlwaysTwice,
+// ruco/maxreg/refresh_policy.h): the model checker exhaustively verifies
+// the pruned protocol against it at small N (tests/hotpath_test.cpp) and
+// the ablation bench quantifies the step savings.
 //
 // Memory orders (per-site argument; DESIGN.md "Hot-path memory orders";
 // constants from ruco/runtime/memorder.h, which RUCO_SEQCST_ATOMICS
@@ -76,7 +79,6 @@
 #include <vector>
 
 #include "ruco/core/types.h"
-#include "ruco/maxreg/refresh_policy.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
@@ -99,15 +101,12 @@ struct KeepValues {
 /// equality-comparable, and the sequence of values at every cell monotone
 /// under `combine` (see file comment).  `dispose` receives every value a
 /// won CAS replaced and every combine that was not installed.
-template <typename Shape, typename T, typename Combine,
-          typename Disposal = KeepValues>
-void propagate_twice(const Shape& shape,
+template <typename T, typename Combine, typename Disposal = KeepValues>
+void propagate_twice(const util::TreeShape& shape,
                      std::vector<runtime::PaddedAtomic<T>>& values,
-                     typename Shape::NodeId start, Combine&& combine,
-                     RefreshPolicy policy = RefreshPolicy::kConditional,
+                     util::TreeShape::NodeId start, Combine&& combine,
                      Disposal&& dispose = {}) {
-  using NodeId = typename Shape::NodeId;
-  const bool conditional = policy == RefreshPolicy::kConditional;
+  using NodeId = util::TreeShape::NodeId;
   // Batched telemetry: tally in locals, publish once per propagation so the
   // per-level loop stays free of counter traffic.
   std::uint64_t levels = 0;
@@ -116,7 +115,7 @@ void propagate_twice(const Shape& shape,
   std::uint64_t second_rounds = 0;
   std::uint64_t skipped = 0;
   NodeId n = start;
-  while (shape.parent(n) != Shape::kNil) {
+  while (shape.parent(n) != util::TreeShape::kNil) {
     n = shape.parent(n);
     ++levels;
     const NodeId l = shape.left(n);
@@ -131,7 +130,7 @@ void propagate_twice(const Shape& shape,
       runtime::step_tick();
       const T rv = values[r].value.load(runtime::mo_acquire);
       const T new_value = combine(lv, rv);
-      if (conditional && new_value == old_value) {
+      if (new_value == old_value) {
         // Pure-load level: the node already holds the covering aggregate.
         dispose.discarded(new_value);
         ++skipped;
@@ -143,12 +142,11 @@ void propagate_twice(const Shape& shape,
                                                   runtime::mo_release,
                                                   runtime::mo_relaxed)) {
         dispose.replaced(old_value);
-        if (conditional) break;  // won: combine read after our child update
-      } else {
-        dispose.discarded(new_value);
-        ++failures;
-        if (round == 0) ++second_rounds;
+        break;  // won: combine read after our child update
       }
+      dispose.discarded(new_value);
+      ++failures;
+      if (round == 0) ++second_rounds;
     }
   }
   if (levels != 0) {

@@ -1,5 +1,6 @@
-// Refresh policy for the Jayanti-style double-refresh propagation loop
-// (ruco/maxreg/propagate.h and its simulation-layer mirrors).
+// Refresh policy of the simulation-layer and weak-memory models of the
+// Jayanti-style double-refresh propagation loop.  Production code
+// (ruco/maxreg/propagate.h) always runs kConditional.
 #pragma once
 
 #include <cstdint>

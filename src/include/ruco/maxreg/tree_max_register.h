@@ -8,7 +8,10 @@
 // small operands v < N; the right subtree TR is a complete binary tree whose
 // i-th leaf (depth O(log N)) receives process i's writes of large operands
 // v >= N.  A write stores its operand at the chosen leaf and propagates the
-// max up to the root with the double-CAS loop.
+// max up to the root with the double-CAS loop.  The tree is a
+// farray::MaxFArray over util::algorithm_a_shape: slot v < N is value leaf
+// v and slot N + i is process i's leaf (util::algorithm_a_leaf); this
+// class adds the root fast path and the duplicate check.
 //
 // Deviation from the paper's pseudocode (documented in EXPERIMENTS.md, and
 // demonstrated by the simulation-layer model checker): the printed
@@ -25,11 +28,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "ruco/core/types.h"
-#include "ruco/runtime/padded.h"
-#include "ruco/util/tree_shape.h"
+#include "ruco/farray/farray.h"
 
 namespace ruco::maxreg {
 
@@ -59,15 +60,14 @@ class TreeMaxRegister {
   void write_max(ProcId proc, Value v);
 
   [[nodiscard]] std::uint32_t num_processes() const noexcept {
-    return shape_.num_processes();
+    return tree_.num_slots() / 2;  // N value leaves + N process leaves
   }
   /// Depth of the leaf WriteMax(v) by `proc` would start from -- the step
   /// bound's driver; exposed for the structure tests and benchmarks.
   [[nodiscard]] std::uint32_t write_leaf_depth(ProcId proc, Value v) const;
 
  private:
-  util::AlgorithmATreeShape shape_;
-  std::vector<runtime::PaddedAtomic<Value>> values_;
+  farray::MaxFArray tree_;
   Faithfulness mode_;
 };
 

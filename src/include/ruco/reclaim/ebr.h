@@ -35,7 +35,8 @@
 //
 // Threads are keyed by their OS thread, not by ProcId: a slot is claimed
 // on first use and released at thread exit, when the thread's pending
-// bags go to an orphan list that later collections free.  Slots are
+// bags go to an orphan list that later collections free; the last thread
+// of a group exiting together frees the group's leftovers.  Slots are
 // reused, so a program that starts new threads every round keeps a
 // registry as long as its peak thread count.
 #pragma once

@@ -19,10 +19,9 @@ namespace ruco::simalgos {
 /// simulated operations may not carry state between operations (replay
 /// after erasure re-runs coroutines from scratch).
 ///
-/// `policy` mirrors the production conditional-refresh pruning in
-/// ruco/maxreg/propagate.h (skip round 2 after a won CAS; skip the CAS when
-/// the recomputed sum equals the node value); kAlwaysTwice is the
-/// paper-literal double refresh.
+/// `policy` selects the propagation (see simalgos::propagate_twice):
+/// kConditional mirrors production, kAlwaysTwice is the paper-literal
+/// double refresh.
 class SimFArrayCounter {
  public:
   SimFArrayCounter(

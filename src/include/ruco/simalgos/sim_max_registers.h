@@ -19,6 +19,21 @@
 
 namespace ruco::simalgos {
 
+/// The double-refresh loop of ruco/maxreg/propagate.h over simulated
+/// memory, shared by the Algorithm A and f-array counter twins: at every
+/// node from the parent of `start` up to the root of `shape`, up to
+/// `attempts` rounds of (read the node, read both children, CAS in
+/// `combine` of the children).  `objects[n]` backs node n.  kConditional
+/// mirrors production: a combine equal to the node value skips the CAS and
+/// a won CAS ends the level.  kAlwaysTwice runs every round.
+[[nodiscard]] sim::Op propagate_twice(sim::Ctx& ctx,
+                                      const util::TreeShape& shape,
+                                      const std::vector<sim::ObjectId>& objects,
+                                      util::TreeShape::NodeId start,
+                                      Value (*combine)(Value, Value),
+                                      maxreg::RefreshPolicy policy,
+                                      int attempts = 2);
+
 /// Algorithm A over simulated memory.  See maxreg::TreeMaxRegister.
 ///
 /// `propagate_attempts` is an ablation knob: the paper performs the
@@ -43,19 +58,15 @@ class SimTreeMaxRegister {
   [[nodiscard]] sim::Op read_max(sim::Ctx& ctx) const;
   [[nodiscard]] sim::Op write_max(sim::Ctx& ctx, Value v) const;
 
-  [[nodiscard]] std::uint32_t num_processes() const noexcept {
-    return shape_.num_processes();
-  }
+  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
   /// Base object backing the tree root (the one ReadMax reads).
   [[nodiscard]] sim::ObjectId root_object() const {
     return objects_[shape_.root()];
   }
 
  private:
-  [[nodiscard]] sim::Op propagate(sim::Ctx& ctx,
-                                  util::TreeShape::NodeId leaf) const;
-
-  util::AlgorithmATreeShape shape_;
+  std::uint32_t n_;
+  util::TreeShape shape_;  // util::algorithm_a_shape(n_)
   std::vector<sim::ObjectId> objects_;  // one base object per tree node
   maxreg::Faithfulness mode_;
   int propagate_attempts_;

@@ -40,10 +40,6 @@ struct ProdMetrics {
   Counter reclaim_retired;  // objects queued by reclaim::retire
   Counter reclaim_freed;    // ... whose deleter has run
 
-  // farray: Write-and-f-array operations.
-  Counter farray_updates;
-  Counter farray_reads;
-
   // runtime: thread-harness phase accounting.
   Counter harness_runs;      // run_threads invocations
   Counter harness_threads;   // threads launched in total

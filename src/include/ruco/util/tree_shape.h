@@ -12,9 +12,9 @@
 //     Algorithm A (Hendler & Khait, PODC'14, Section 5).
 //   * b1_shape(L)        -- the Bentley-Yao B1 unbounded-search tree: leaf v
 //     sits at depth O(log v), the left subtree TL of Algorithm A.
-//   * AlgorithmATreeShape -- the composite tree T of Figure 4: a root whose
-//     left child is b1_shape(N) (value leaves) and whose right child is
-//     complete_shape(N) (per-process leaves).
+//   * algorithm_a_shape(N) -- the composite tree T of Figure 4: a root
+//     whose left child is b1_shape(N) (value leaves) and whose right child
+//     is complete_shape(N) (per-process leaves).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,7 @@ class TreeShape {
  private:
   friend TreeShape complete_shape(std::uint32_t leaves);
   friend TreeShape b1_shape(std::uint32_t leaves);
-  friend class AlgorithmATreeShape;
+  friend TreeShape algorithm_a_shape(std::uint32_t num_processes);
 
   struct Node {
     NodeId parent = kNil;
@@ -87,38 +87,18 @@ class TreeShape {
 /// which is what makes Algorithm A's WriteMax(v) cost O(log v) for v < N.
 [[nodiscard]] TreeShape b1_shape(std::uint32_t leaves);
 
-/// The composite tree of Hendler & Khait Figure 4 for N processes:
-/// root(left = B1 with N value leaves, right = complete with N process
-/// leaves).  WriteMax(v) starts at value_leaf(v) when v < N and at
-/// process_leaf(i) otherwise; ReadMax reads the root only.
-class AlgorithmATreeShape {
- public:
-  using NodeId = TreeShape::NodeId;
-  static constexpr NodeId kNil = TreeShape::kNil;
+/// The composite tree of Hendler & Khait Figure 4 for N >= 1 processes:
+/// root(left = B1 over leaf ordinals [0, N), the value leaves; right =
+/// complete over [N, 2N), the process leaves).  ReadMax reads the root
+/// only; WriteMax starts at algorithm_a_leaf.
+[[nodiscard]] TreeShape algorithm_a_shape(std::uint32_t num_processes);
 
-  explicit AlgorithmATreeShape(std::uint32_t num_processes);
-
-  [[nodiscard]] NodeId root() const noexcept { return shape_.root(); }
-  [[nodiscard]] NodeId parent(NodeId n) const { return shape_.parent(n); }
-  [[nodiscard]] NodeId left(NodeId n) const { return shape_.left(n); }
-  [[nodiscard]] NodeId right(NodeId n) const { return shape_.right(n); }
-  [[nodiscard]] NodeId sibling(NodeId n) const { return shape_.sibling(n); }
-  [[nodiscard]] bool is_leaf(NodeId n) const { return shape_.is_leaf(n); }
-  [[nodiscard]] std::uint32_t depth(NodeId n) const { return shape_.depth(n); }
-  [[nodiscard]] std::size_t node_count() const { return shape_.node_count(); }
-  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
-
-  /// Leaf for WriteMax(v), v in [0, N): the v-th leaf of the B1 subtree.
-  [[nodiscard]] NodeId value_leaf(std::uint64_t v) const;
-  /// Leaf for WriteMax by process i when the operand is >= N: the i-th leaf
-  /// of the complete subtree.
-  [[nodiscard]] NodeId process_leaf(std::uint32_t i) const;
-
- private:
-  std::uint32_t n_;
-  TreeShape shape_;
-  std::vector<NodeId> value_leaves_;    // leaves of TL, by value
-  std::vector<NodeId> process_leaves_;  // leaves of TR, by process id
-};
+/// The leaf ordinal of algorithm_a_shape(N) that WriteMax(v) by process
+/// `proc` starts from: value leaf v when v < N, else process leaf N + proc.
+[[nodiscard]] constexpr std::uint32_t algorithm_a_leaf(
+    std::uint32_t num_processes, std::uint32_t proc, std::int64_t v) noexcept {
+  return v < num_processes ? static_cast<std::uint32_t>(v)
+                           : num_processes + proc;
+}
 
 }  // namespace ruco::util

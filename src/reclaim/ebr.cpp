@@ -105,6 +105,7 @@ struct Domain {
   std::mutex orphans_mu;
   std::deque<Bag> orphans;  // sealed bags of exited threads
   std::atomic<bool> has_orphans{false};
+  std::uint32_t exiting = 0;  // threads inside ExitHook; under orphans_mu
 
   std::mutex depot_mu;
   std::array<DepotBin, kCacheBins> depot;
@@ -283,27 +284,54 @@ void collect_local(Local& l, bool wait_for_orphans) {
   harvest(l);
 }
 
+// Collects and frees while anything is pending and the epoch still moves:
+// it stalls only while a running thread stays pinned.
+void free_while_epoch_moves(Local& l) {
+  for (;;) {
+    const std::uint64_t before =
+        global_epoch.value.load(std::memory_order_relaxed);
+    collect_local(l, /*wait_for_orphans=*/true);
+    free_some(l, l.pending);
+    if (l.pending == 0 ||
+        global_epoch.value.load(std::memory_order_relaxed) == before) {
+      return;
+    }
+  }
+}
+
 // Releases the thread's slot at thread exit.
 struct ExitHook {
   ~ExitHook() {
     ThreadView& t = tls_view;
     if (t.slot == nullptr) return;
     Local& l = *t.local;
-    // Free what the other threads let us free now, orphans included (so
-    // the last thread of a group to exit frees the group's leftovers),
-    // and hand off the rest.
-    for (int round = 0; round < 4; ++round) {
-      collect_local(l, /*wait_for_orphans=*/true);
-      free_some(l, l.pending);
-      if (l.pending == 0) break;
-    }
-    seal(l);
-    if (l.pending != 0) {
-      Domain& d = domain();
+    Domain& d = domain();
+    {
       const std::lock_guard lock{d.orphans_mu};
+      ++d.exiting;
+    }
+    // Free what the other threads let us free, orphans included, and hand
+    // off the rest.  The last thread of a group to exit frees the group's
+    // leftovers: bags another exiter handed off after our last adoption
+    // make us go round again, unless that exiter is still inside this hook
+    // and will check the list itself.  What stays behind is held back by a
+    // running thread, which adopts it when it exits or collects.
+    for (;;) {
+      free_while_epoch_moves(l);
+      seal(l);
+      const std::lock_guard lock{d.orphans_mu};
+      const bool handed_to_us = !d.orphans.empty();
       for (Bag& bag : l.ready) d.orphans.push_back(std::move(bag));
       for (Bag& bag : l.sealed) d.orphans.push_back(std::move(bag));
-      d.has_orphans.store(true, std::memory_order_relaxed);
+      l.ready.clear();
+      l.sealed.clear();
+      l.pending = 0;
+      if (!d.orphans.empty()) {
+        d.has_orphans.store(true, std::memory_order_relaxed);
+      }
+      if (handed_to_us && d.exiting == 1) continue;
+      --d.exiting;
+      break;
     }
     t.slot->state.store(0, std::memory_order_release);
     t.slot->in_use.store(false, std::memory_order_release);

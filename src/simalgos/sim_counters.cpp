@@ -23,26 +23,15 @@ sim::Op SimFArrayCounter::read(sim::Ctx& ctx) const {
   co_return co_await ctx.read(objects_[shape_.root()]);
 }
 
+namespace {
+Value combine_sum(Value l, Value r) { return l + r; }
+}  // namespace
+
 sim::Op SimFArrayCounter::increment(sim::Ctx& ctx) const {
   const auto leaf = shape_.leaf(ctx.id());
   const Value mine = co_await ctx.read(objects_[leaf]);
   co_await ctx.write(objects_[leaf], mine + 1);
-  // Double refresh per level; under kConditional the production pruning
-  // applies (ruco/maxreg/propagate.h): no-change recompute skips the CAS,
-  // a won CAS skips the second round.
-  const bool conditional = policy_ == maxreg::RefreshPolicy::kConditional;
-  auto n = leaf;
-  while (shape_.parent(n) != util::TreeShape::kNil) {
-    n = shape_.parent(n);
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const Value old_value = co_await ctx.read(objects_[n]);
-      const Value l = co_await ctx.read(objects_[shape_.left(n)]);
-      const Value r = co_await ctx.read(objects_[shape_.right(n)]);
-      if (conditional && l + r == old_value) break;
-      const Value ok = co_await ctx.cas(objects_[n], old_value, l + r);
-      if (conditional && ok != 0) break;
-    }
-  }
+  co_await propagate_twice(ctx, shape_, objects_, leaf, combine_sum, policy_);
   co_return 0;
 }
 

@@ -8,14 +8,45 @@
 
 namespace ruco::simalgos {
 
+// ------------------------------------------------------ shared propagation
+
+sim::Op propagate_twice(sim::Ctx& ctx, const util::TreeShape& shape,
+                        const std::vector<sim::ObjectId>& objects,
+                        util::TreeShape::NodeId start,
+                        Value (*combine)(Value, Value),
+                        maxreg::RefreshPolicy policy, int attempts) {
+  // Paper Algorithm A, lines 3-9; the pruning argument is in
+  // ruco/maxreg/propagate.h.
+  const bool conditional = policy == maxreg::RefreshPolicy::kConditional;
+  auto n = start;
+  while (shape.parent(n) != util::TreeShape::kNil) {
+    n = shape.parent(n);
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      const Value old_value = co_await ctx.read(objects[n]);
+      const Value l = co_await ctx.read(objects[shape.left(n)]);
+      const Value r = co_await ctx.read(objects[shape.right(n)]);
+      const Value new_value = combine(l, r);
+      if (conditional && new_value == old_value) break;
+      const Value ok = co_await ctx.cas(objects[n], old_value, new_value);
+      if (conditional && ok != 0) break;
+    }
+  }
+  co_return 0;
+}
+
 // ---------------------------------------------------------------- Algorithm A
+
+namespace {
+Value combine_max(Value l, Value r) { return std::max(l, r); }
+}  // namespace
 
 SimTreeMaxRegister::SimTreeMaxRegister(sim::Program& program,
                                        std::uint32_t num_processes,
                                        maxreg::Faithfulness mode,
                                        int propagate_attempts,
                                        maxreg::RefreshPolicy policy)
-    : shape_{num_processes},
+    : n_{num_processes},
+      shape_{util::algorithm_a_shape(num_processes)},
       mode_{mode},
       propagate_attempts_{propagate_attempts},
       policy_{policy} {
@@ -29,31 +60,6 @@ sim::Op SimTreeMaxRegister::read_max(sim::Ctx& ctx) const {
   co_return co_await ctx.read(objects_[shape_.root()]);
 }
 
-sim::Op SimTreeMaxRegister::propagate(sim::Ctx& ctx,
-                                      util::TreeShape::NodeId leaf) const {
-  // Paper Algorithm A, lines 3-9: double compute-max-and-CAS per level.
-  // Under kConditional this mirrors the production pruning in
-  // ruco/maxreg/propagate.h: a no-change recompute skips the CAS (the node
-  // already covers our subtree), and a won CAS skips the second round (the
-  // winning CAS read both children after our child update, so it covers
-  // us).  kAlwaysTwice is the paper-literal shape.
-  const bool conditional = policy_ == maxreg::RefreshPolicy::kConditional;
-  auto n = leaf;
-  while (shape_.parent(n) != util::AlgorithmATreeShape::kNil) {
-    n = shape_.parent(n);
-    for (int attempt = 0; attempt < propagate_attempts_; ++attempt) {
-      const Value old_value = co_await ctx.read(objects_[n]);
-      const Value l = co_await ctx.read(objects_[shape_.left(n)]);
-      const Value r = co_await ctx.read(objects_[shape_.right(n)]);
-      const Value new_value = std::max(l, r);
-      if (conditional && new_value == old_value) break;
-      const Value ok = co_await ctx.cas(objects_[n], old_value, new_value);
-      if (conditional && ok != 0) break;
-    }
-  }
-  co_return 0;
-}
-
 sim::Op SimTreeMaxRegister::write_max(sim::Ctx& ctx, Value v) const {
   assert(v >= 0);
   if (mode_ == maxreg::Faithfulness::kHelpOnDuplicate &&
@@ -63,18 +69,18 @@ sim::Op SimTreeMaxRegister::write_max(sim::Ctx& ctx, Value v) const {
     // kConditional so kAlwaysTwice stays fully paper-shaped.
     if (co_await ctx.read(objects_[shape_.root()]) >= v) co_return 0;
   }
-  const auto leaf = v < shape_.num_processes()
-                        ? shape_.value_leaf(static_cast<std::uint64_t>(v))
-                        : shape_.process_leaf(ctx.id());
+  const auto leaf = shape_.leaf(util::algorithm_a_leaf(n_, ctx.id(), v));
   const Value old_value = co_await ctx.read(objects_[leaf]);
   if (v <= old_value) {
     if (mode_ == maxreg::Faithfulness::kHelpOnDuplicate) {
-      co_await propagate(ctx, leaf);
+      co_await propagate_twice(ctx, shape_, objects_, leaf, combine_max,
+                               policy_, propagate_attempts_);
     }
     co_return 0;
   }
   co_await ctx.write(objects_[leaf], v);
-  co_await propagate(ctx, leaf);
+  co_await propagate_twice(ctx, shape_, objects_, leaf, combine_max, policy_,
+                           propagate_attempts_);
   co_return 0;
 }
 

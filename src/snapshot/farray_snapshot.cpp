@@ -102,7 +102,6 @@ void FArraySnapshot::update(ProcId proc, Value v) {
   nodes_[leaf].value.store(leaf_view, runtime::mo_release);
   reclaim::retire(const_cast<View*>(old_leaf), &View::destroy);
   maxreg::propagate_twice(shape_, nodes_, leaf, &FArraySnapshot::merge,
-                          maxreg::RefreshPolicy::kConditional,
                           RetireViews{});
 }
 

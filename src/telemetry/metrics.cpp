@@ -27,8 +27,6 @@ ProdMetrics make_prod_metrics() {
   m.mcas_cas_failures = r.counter("mcas", "cas_failures");
   m.reclaim_retired = r.counter("reclaim", "retired");
   m.reclaim_freed = r.counter("reclaim", "freed");
-  m.farray_updates = r.counter("farray", "updates");
-  m.farray_reads = r.counter("farray", "reads");
   m.harness_runs = r.counter("runtime", "harness_runs");
   m.harness_threads = r.counter("runtime", "harness_threads");
   m.harness_wall_us = r.counter("runtime", "harness_wall_us");

@@ -100,36 +100,18 @@ TreeShape b1_shape(std::uint32_t leaves) {
   return shape;
 }
 
-AlgorithmATreeShape::AlgorithmATreeShape(std::uint32_t num_processes)
-    : n_{num_processes} {
+TreeShape algorithm_a_shape(std::uint32_t num_processes) {
   if (num_processes == 0) {
-    throw std::invalid_argument{"AlgorithmATreeShape: 0 processes"};
+    throw std::invalid_argument{"algorithm_a_shape: 0 processes"};
   }
-  // Build both subtrees into one arena: TL leaves get ordinals [0, N) (value
+  // Both subtrees share one arena: TL leaves get ordinals [0, N) (value
   // leaves) and TR leaves get ordinals [N, 2N) (process leaves).
-  const NodeId tl = shape_.build_b1(n_);
-  const NodeId tr = shape_.build_complete(n_, n_);
-  shape_.set_root(shape_.add_internal(tl, tr));
-  value_leaves_.reserve(n_);
-  process_leaves_.reserve(n_);
-  for (std::uint32_t v = 0; v < n_; ++v) {
-    value_leaves_.push_back(shape_.leaf(v));
-  }
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    process_leaves_.push_back(shape_.leaf(n_ + i));
-  }
-}
-
-AlgorithmATreeShape::NodeId AlgorithmATreeShape::value_leaf(
-    std::uint64_t v) const {
-  assert(v < n_);
-  return value_leaves_[static_cast<std::size_t>(v)];
-}
-
-AlgorithmATreeShape::NodeId AlgorithmATreeShape::process_leaf(
-    std::uint32_t i) const {
-  assert(i < n_);
-  return process_leaves_[i];
+  TreeShape shape;
+  const TreeShape::NodeId tl = shape.build_b1(num_processes);
+  const TreeShape::NodeId tr =
+      shape.build_complete(num_processes, num_processes);
+  shape.set_root(shape.add_internal(tl, tr));
+  return shape;
 }
 
 }  // namespace ruco::util

@@ -172,6 +172,32 @@ TEST(TreeMaxRegister, WriteLeafDepthMatchesRegime) {
   EXPECT_EQ(reg.write_leaf_depth(3, 256), reg.write_leaf_depth(3, 1 << 20));
 }
 
+TEST(TreeMaxRegisterSteps, SoloWriteCostsThreePlusFourPerLevelOnEveryLeaf) {
+  // One write on a fresh register: the root fast-path read, the leaf read,
+  // the leaf write, then per level three reads and one CAS, which wins
+  // because the max grows at every level.  Exact counts tie
+  // write_leaf_depth, and the one leaf choice behind it, to the leaf
+  // write_max really wrote: value and process leaves sit at varying depths
+  // for these N.
+  for (const std::uint32_t n : {1u, 2u, 3u, 16u, 100u}) {
+    const auto expect_solo_steps = [n](ProcId p, Value v) {
+      TreeMaxRegister reg{n};
+      const std::uint64_t depth = reg.write_leaf_depth(p, v);
+      runtime::StepScope scope;
+      reg.write_max(p, v);
+      EXPECT_EQ(scope.taken(), 3 + 4 * depth)
+          << "N=" << n << " p=" << p << " v=" << v;
+      EXPECT_EQ(reg.read_max(p), v);
+    };
+    for (Value v = 0; v < static_cast<Value>(n); ++v) {  // value leaves
+      expect_solo_steps(static_cast<ProcId>(v), v);
+    }
+    for (ProcId p = 0; p < n; ++p) {  // process leaves
+      expect_solo_steps(p, static_cast<Value>(n) + p);
+    }
+  }
+}
+
 // ----------------------------------------------------- AAC specifics
 
 TEST(AacMaxRegister, RejectsOutOfRange) {

@@ -172,18 +172,30 @@ TEST(StepParity, UnboundedAacSoloStepsMatchProduction) {
 
 TEST(StepParity, TreeWriteMaxSoloStepsMatchProduction) {
   constexpr std::uint32_t n = 16;
-  for (const Value v : {Value{0}, Value{1}, Value{7}, Value{15}, Value{100}}) {
+  struct Write {
+    ProcId proc;
+    Value v;
+  };
+  // The last write lands on a process leaf of a nonzero process.
+  for (const Write w : {Write{3, 0}, Write{3, 1}, Write{3, 7}, Write{3, 15},
+                        Write{3, 100}, Write{11, 100}}) {
     maxreg::TreeMaxRegister prod{n};
     runtime::StepScope scope;
-    prod.write_max(3, v);
+    prod.write_max(w.proc, w.v);
     const auto prod_steps = scope.taken();
 
     sim::Program prog;
     SimTreeMaxRegister reg{prog, n, Faithfulness::kHelpOnDuplicate};
-    prog.add_process([&reg, v](sim::Ctx& ctx) { return reg.write_max(ctx, v); });
+    for (ProcId p = 0; p <= w.proc; ++p) {
+      prog.add_process([&reg, w, p](sim::Ctx& ctx) -> sim::Op {
+        if (p == w.proc) co_await reg.write_max(ctx, w.v);
+        co_return 0;
+      });
+    }
     sim::System sys{prog};
-    sim::run_solo(sys, 0, 10'000);
-    EXPECT_EQ(sys.steps_taken(0), prod_steps) << "v=" << v;
+    sim::run_solo(sys, w.proc, 10'000);
+    EXPECT_EQ(sys.steps_taken(w.proc), prod_steps)
+        << "p=" << w.proc << " v=" << w.v;
   }
 }
 

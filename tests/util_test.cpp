@@ -178,19 +178,19 @@ class AlgorithmAShapeTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(AlgorithmAShapeTest, CompositeLayout) {
   const std::uint32_t n = GetParam();
-  const AlgorithmATreeShape shape{n};
-  EXPECT_EQ(shape.num_processes(), n);
+  const TreeShape shape = algorithm_a_shape(n);
+  EXPECT_EQ(shape.leaf_count(), 2 * static_cast<std::size_t>(n));
   // 2N leaves total: N value leaves + N process leaves => 4N - 1 nodes.
   EXPECT_EQ(shape.node_count(), 4 * static_cast<std::size_t>(n) - 1);
   // Figure 4: the root's left subtree is the B1 tree (value leaves), the
   // right subtree the complete tree (process leaves).
   for (std::uint32_t v = 0; v < n; ++v) {
-    auto node = shape.value_leaf(v);
+    auto node = shape.leaf(v);
     while (shape.parent(node) != shape.root()) node = shape.parent(node);
     EXPECT_EQ(node, shape.left(shape.root())) << "value leaf " << v;
   }
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto node = shape.process_leaf(i);
+    auto node = shape.leaf(n + i);
     while (shape.parent(node) != shape.root()) node = shape.parent(node);
     EXPECT_EQ(node, shape.right(shape.root())) << "process leaf " << i;
   }
@@ -198,15 +198,15 @@ TEST_P(AlgorithmAShapeTest, CompositeLayout) {
 
 TEST_P(AlgorithmAShapeTest, DepthBounds) {
   const std::uint32_t n = GetParam();
-  const AlgorithmATreeShape shape{n};
+  const TreeShape shape = algorithm_a_shape(n);
   // Theorem 6's two regimes: value leaves at O(log v), process leaves at
   // O(log N).
   for (std::uint32_t v = 0; v < n; ++v) {
-    EXPECT_LE(shape.depth(shape.value_leaf(v)),
+    EXPECT_LE(shape.depth(shape.leaf(v)),
               2 * util::floor_log2(v + 1) + 3);
   }
   for (std::uint32_t i = 0; i < n; ++i) {
-    EXPECT_LE(shape.depth(shape.process_leaf(i)), util::ceil_log2(n) + 1);
+    EXPECT_LE(shape.depth(shape.leaf(n + i)), util::ceil_log2(n) + 1);
   }
 }
 
