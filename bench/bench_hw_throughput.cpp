@@ -23,7 +23,8 @@
 //   --smoke       tiny run for CI (2 threads, 50 ms)
 //   --contend     add the contended-mode workloads
 //   --sweep       run each workload at 1, 2, 4, ... up to --threads
-//   --json <path>     machine-readable results
+//   --json <path>     machine-readable results, with the host's CPU count
+//                     (nproc), the build type and the compiler at the top
 //   --perfetto <path> sampled op timeline (open at ui.perfetto.dev)
 #include <atomic>
 #include <chrono>
@@ -31,7 +32,12 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "ruco/core/table.h"
 #include "ruco/counter/farray_counter.h"
@@ -139,6 +145,17 @@ WorkloadResult run_workload(const std::string& name, const std::string& mode,
   return r;
 }
 
+// The CPUs this process may run on, counted as nproc(1) counts them.
+std::size_t usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -244,7 +261,10 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out{json_path};
-    out << "{\n  \"bench\": \"hw_throughput\",\n  \"threads\": " << threads
+    out << "{\n  \"bench\": \"hw_throughput\",\n  \"nproc\": "
+        << usable_cpus() << ",\n  \"build_type\": \"" << RUCO_BUILD_TYPE
+        << "\",\n  \"compiler\": \"" << RUCO_COMPILER
+        << "\",\n  \"threads\": " << threads
         << ",\n  \"window_ms\": " << window_ms << ",\n  \"series\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];

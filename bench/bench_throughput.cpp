@@ -1,8 +1,11 @@
 // Experiment THR: real-hardware sanity pass.  The paper's measure is steps,
 // not nanoseconds; this google-benchmark binary confirms the step story
 // translates to wall-clock on real atomics: Algorithm A's O(1) reads are
-// flat across N, AAC reads scale with log M, f-array counter reads beat
-// AAC-counter reads, and contended throughput does not collapse.
+// flat across N, AAC reads scale with log M, and f-array counter reads
+// beat AAC-counter reads.  The *_Contended rows make no scaling claim: on
+// a multi-core host every update CASes the same root line, and total
+// throughput falls as threads are added (bench_hw_throughput --sweep
+// measures that; a 1-core host only interleaves the threads and hides it).
 #include <benchmark/benchmark.h>
 
 #include "ruco/counter/farray_counter.h"

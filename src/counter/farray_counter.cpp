@@ -6,8 +6,7 @@ namespace ruco::counter {
 
 // Leaves start at 0 (a counter's components are counts, not max values).
 FArrayCounter::FArrayCounter(std::uint32_t num_processes)
-    : counts_{num_processes, 0},
-      local_count_(num_processes, runtime::PaddedAtomic<Value>{0}) {}
+    : counts_{num_processes, 0} {}
 
 Value FArrayCounter::read(ProcId proc) const {
   return counts_.read_aggregate(proc);
@@ -15,12 +14,8 @@ Value FArrayCounter::read(ProcId proc) const {
 
 void FArrayCounter::increment(ProcId proc) {
   assert(proc < num_processes());
-  // local_count_ is process-private bookkeeping (each slot written by one
-  // process only); relaxed suffices and it is not a shared-memory step.
-  const Value next =
-      local_count_[proc].value.load(std::memory_order_relaxed) + 1;
-  local_count_[proc].value.store(next, std::memory_order_relaxed);
-  counts_.update(proc, next);
+  // The slot is ours alone, so reading it back is not a shared-memory step.
+  counts_.update(proc, counts_.own_slot(proc) + 1);
 }
 
 }  // namespace ruco::counter

@@ -9,15 +9,13 @@
 // Omega(log N) -- exactly what this object pays.  Sums of single-writer,
 // non-decreasing leaves are monotone, so the CAS substitution is ABA-free
 // (see propagate.h).  The tree is a farray::SumFArray with one slot per
-// process; this class adds only the per-process count mirror.
+// process; an increment reads its own slot back and writes it plus one.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "ruco/core/types.h"
 #include "ruco/farray/farray.h"
-#include "ruco/runtime/padded.h"
 
 namespace ruco::counter {
 
@@ -37,9 +35,6 @@ class FArrayCounter {
 
  private:
   farray::SumFArray counts_;  // slot p: process p's increments
-  // Process-local mirror of the (single-writer) leaf: saves the leaf read.
-  // Padded so neighbouring processes' mirrors do not false-share.
-  std::vector<runtime::PaddedAtomic<Value>> local_count_;
 };
 
 }  // namespace ruco::counter

@@ -20,11 +20,16 @@
 // util::algorithm_a_shape.  FArraySnapshot keeps its own pointer cells
 // and shares only the propagation loop.  Downstream users reach for it
 // directly (min/max watermarks, monotone bitmask unions).
+//
+// Cell layout: the nodes are plain 8-byte atomics packed eight to a line in
+// one line-aligned allocation (runtime::DenseAtomicArray), indexed by the
+// shape's post-order NodeId, so a propagation level reads one or two lines
+// instead of three.  ruco/runtime/padded.h gives the reasoning.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "ruco/core/types.h"
 #include "ruco/maxreg/propagate.h"
@@ -48,8 +53,7 @@ class FArray {
   FArray(util::TreeShape shape, Value identity, Combine combine = {})
       : combine_{combine},
         shape_{std::move(shape)},
-        values_(shape_.node_count(), runtime::PaddedAtomic<Value>{identity}) {
-  }
+        values_(shape_.node_count(), identity) {}
 
   /// Sets slot `slot` (single writer per slot) and refreshes the path.
   /// O(depth of the slot's leaf) steps: O(log N) on the complete tree.
@@ -58,7 +62,7 @@ class FArray {
     runtime::step_tick();
     // Release pairs with the acquire child loads in propagate_twice (ours
     // and every concurrent refresher's).
-    values_[leaf].value.store(v, runtime::mo_release);
+    values_[leaf].store(v, runtime::mo_release);
     maxreg::propagate_twice(shape_, values_, leaf, combine_);
   }
 
@@ -72,13 +76,20 @@ class FArray {
   /// The aggregate over all slots.  One step.
   [[nodiscard]] Value read_aggregate(ProcId /*proc*/) const {
     runtime::step_tick();
-    return values_[shape_.root()].value.load(runtime::mo_acquire);
+    return values_[shape_.root()].load(runtime::mo_acquire);
   }
 
   /// Direct read of one slot.  One step.
   [[nodiscard]] Value read_slot(ProcId /*proc*/, std::uint32_t slot) const {
     runtime::step_tick();
-    return values_[shape_.leaf(slot)].value.load(runtime::mo_acquire);
+    return values_[shape_.leaf(slot)].load(runtime::mo_acquire);
+  }
+
+  /// Slot `slot` as its single writer last set it.  Only that writer may
+  /// call this: it reads back its own store, which is local knowledge, so
+  /// it is a relaxed load and not a shared-memory step.
+  [[nodiscard]] Value own_slot(ProcId slot) const {
+    return values_[shape_.leaf(slot)].load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint32_t num_slots() const noexcept {
@@ -87,11 +98,15 @@ class FArray {
   [[nodiscard]] const util::TreeShape& shape() const noexcept {
     return shape_;
   }
+  /// The node cells, indexed by the shape's NodeId.
+  [[nodiscard]] const runtime::DenseAtomicArray<Value>& cells() const noexcept {
+    return values_;
+  }
 
  private:
   Combine combine_;
   util::TreeShape shape_;
-  std::vector<runtime::PaddedAtomic<Value>> values_;
+  runtime::DenseAtomicArray<Value> values_;
 };
 
 struct MaxCombine {

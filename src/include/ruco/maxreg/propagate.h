@@ -76,7 +76,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "ruco/core/types.h"
 #include "ruco/runtime/memorder.h"
@@ -96,17 +96,22 @@ struct KeepValues {
 };
 
 /// Propagates from the *parent* of `start` up to the root of `shape`.
-/// `values[n]` is the atomic cell of node n; `combine(l, r)` computes the
-/// new aggregate from the two child values.  T must be trivially copyable,
-/// equality-comparable, and the sequence of values at every cell monotone
-/// under `combine` (see file comment).  `dispose` receives every value a
-/// won CAS replaced and every combine that was not installed.
-template <typename T, typename Combine, typename Disposal = KeepValues>
-void propagate_twice(const util::TreeShape& shape,
-                     std::vector<runtime::PaddedAtomic<T>>& values,
+/// `values[n]` is the cell of node n, in either layout of
+/// ruco/runtime/padded.h (a std::atomic<T> or a PaddedAtomic<T>);
+/// `combine(l, r)` computes the new aggregate from the two child values.
+/// T must be trivially copyable, equality-comparable, and the sequence of
+/// values at every cell monotone under `combine` (see file comment).
+/// `dispose` receives every value a won CAS replaced and every combine that
+/// was not installed.
+template <typename Cells, typename Combine, typename Disposal = KeepValues>
+void propagate_twice(const util::TreeShape& shape, Cells& values,
                      util::TreeShape::NodeId start, Combine&& combine,
                      Disposal&& dispose = {}) {
   using NodeId = util::TreeShape::NodeId;
+  const auto cell = [&values](NodeId n) -> auto& {
+    return runtime::atomic_of(values[n]);
+  };
+  using T = typename std::remove_reference_t<decltype(cell(0))>::value_type;
   // Batched telemetry: tally in locals, publish once per propagation so the
   // per-level loop stays free of counter traffic.
   std::uint64_t levels = 0;
@@ -124,11 +129,11 @@ void propagate_twice(const util::TreeShape& shape,
       runtime::step_tick();
       // Acquire, not relaxed: the skip/stop decisions below need the
       // installer's child reads to happen-before ours (see file comment).
-      T old_value = values[n].value.load(runtime::mo_acquire);
+      T old_value = cell(n).load(runtime::mo_acquire);
       runtime::step_tick();
-      const T lv = values[l].value.load(runtime::mo_acquire);
+      const T lv = cell(l).load(runtime::mo_acquire);
       runtime::step_tick();
-      const T rv = values[r].value.load(runtime::mo_acquire);
+      const T rv = cell(r).load(runtime::mo_acquire);
       const T new_value = combine(lv, rv);
       if (new_value == old_value) {
         // Pure-load level: the node already holds the covering aggregate.
@@ -138,9 +143,9 @@ void propagate_twice(const util::TreeShape& shape,
       }
       runtime::step_tick();
       ++attempts;
-      if (values[n].value.compare_exchange_strong(old_value, new_value,
-                                                  runtime::mo_release,
-                                                  runtime::mo_relaxed)) {
+      if (cell(n).compare_exchange_strong(old_value, new_value,
+                                          runtime::mo_release,
+                                          runtime::mo_relaxed)) {
         dispose.replaced(old_value);
         break;  // won: combine read after our child update
       }

@@ -1,12 +1,36 @@
-// Cache-line padded atomic cell.  Tree nodes that different processes CAS
-// concurrently are padded to their own cache line to avoid false sharing;
-// the shape classes keep trees small enough (O(N) nodes) that the space
-// overhead is irrelevant next to the contention win.
+// Cell layouts for shared atomics.
+//
+// Two layouts, each with one job:
+//   * PaddedAtomic<T>: one std::atomic<T> alone on its 64-B line.  For cells
+//     that stand alone or belong to one process each -- a CAS word, a
+//     per-process sequence number, an MCAS cell, a snapshot's view
+//     pointer -- where sharing a line would only add false sharing.
+//   * DenseAtomicArray<T>: std::atomic<T> cells packed back to back in one
+//     allocation that starts on a line boundary, eight 8-byte cells per
+//     line.  For the Value trees of farray::FArray (the f-array counter
+//     and Algorithm A).
+//
+// Trees are not padded, because a propagation level reads three cells:
+// the node and its two children.  Padded, those are three lines per level,
+// and a depth-d propagation touches 2d+1 distinct lines.  Dense and
+// indexed by TreeShape's post-order NodeId, two sibling leaves sit next to
+// their parent, and a 4-leaf subtree (7 nodes, 56 B) fits in about one
+// line.  Counted over every leaf's path, a level of the f-array counter
+// reads 1.0 line on average at N = 4 and 1.8 at N = 64 (3 when padded),
+// and a whole propagation touches 1 line instead of 5 at N = 4 and 5
+// instead of 13 at N = 64 (Algorithm A's process leaves at N = 64: 6
+// instead of 15).  The writers that now share a line were CASing the
+// same ancestors anyway.  The counter at N = 64 shrinks from 127 lines to
+// 16 (8.1 KB to 1 KB), Algorithm A from 255 to 32.  DESIGN.md "Cell
+// layout" has the latency measurements and the variants that were
+// measured and rejected.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <new>
+#include <type_traits>
 
 namespace ruco::runtime {
 
@@ -33,5 +57,53 @@ struct alignas(kCacheLine) PaddedAtomic {
     return *this;
   }
 };
+
+/// A fixed-size array of std::atomic<T>, packed densely in one allocation
+/// aligned to kCacheLine.  Movable, not copyable.
+template <typename T>
+class DenseAtomicArray {
+  static_assert(std::is_trivially_destructible_v<std::atomic<T>>);
+
+ public:
+  DenseAtomicArray(std::size_t size, T init)
+      : cells_{static_cast<std::atomic<T>*>(::operator new(
+            size * sizeof(std::atomic<T>), std::align_val_t{kCacheLine}))},
+        size_{size} {
+    for (std::size_t i = 0; i < size; ++i) {
+      ::new (static_cast<void*>(cells_.get() + i)) std::atomic<T>{init};
+    }
+  }
+
+  [[nodiscard]] std::atomic<T>& operator[](std::size_t i) noexcept {
+    return cells_[i];
+  }
+  [[nodiscard]] const std::atomic<T>& operator[](std::size_t i) const noexcept {
+    return cells_[i];
+  }
+  [[nodiscard]] const std::atomic<T>* data() const noexcept {
+    return cells_.get();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  struct Free {
+    void operator()(std::atomic<T>* cells) const noexcept {
+      ::operator delete(cells, std::align_val_t{kCacheLine});
+    }
+  };
+  std::unique_ptr<std::atomic<T>[], Free> cells_;
+  std::size_t size_;
+};
+
+/// The atomic inside a cell of either layout, so that code generic over
+/// its cell array (maxreg::propagate_twice) accepts both.
+template <typename T>
+[[nodiscard]] std::atomic<T>& atomic_of(PaddedAtomic<T>& cell) noexcept {
+  return cell.value;
+}
+template <typename T>
+[[nodiscard]] std::atomic<T>& atomic_of(std::atomic<T>& cell) noexcept {
+  return cell;
+}
 
 }  // namespace ruco::runtime

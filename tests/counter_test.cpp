@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "ruco/counter/farray_counter.h"
@@ -276,6 +277,57 @@ TEST(CounterStress, ReadsNeverOvershootInFlight) {
     EXPECT_LE(read.ret, invoked_before);
     EXPECT_GE(read.ret, completed_before);
   }
+}
+
+
+TEST(CounterStress, FArrayStripedOwnersShareEveryCacheLine) {
+  // N = 64 with thread t incrementing for the processes = t mod 4: the
+  // eight leaves of every line of the dense tree have four different
+  // writers.  Exact final count, per-thread reads that never decrease, and
+  // a linearizable history.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kN = 64;
+  constexpr int kRounds = 200;
+  FArrayCounter c{kN};
+  std::array<bool, kThreads> monotone{true, true, true, true};
+  runtime::run_threads(kThreads, [&](std::size_t t) {
+    Value last = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      for (auto p = static_cast<ProcId>(t); p < kN; p += kThreads) {
+        c.increment(p);
+        const Value seen = c.read(p);
+        if (seen < last) monotone[t] = false;
+        last = seen;
+      }
+    }
+  });
+  EXPECT_EQ(c.read(0), static_cast<Value>(kN) * kRounds);
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(monotone[t]) << "thread " << t << " saw the count decrease";
+  }
+
+  FArrayCounter checked{kN};
+  lincheck::Recorder recorder{kThreads};
+  runtime::run_threads(kThreads, [&](std::size_t t) {
+    const auto thread = static_cast<ProcId>(t);
+    util::SplitMix64 rng{31 + t};
+    auto p = thread;
+    for (int i = 0; i < 60; ++i) {
+      if (rng.chance(1, 2)) {
+        const auto op = recorder.begin(thread, "CounterIncrement", 0);
+        checked.increment(p);
+        recorder.end(thread, op, 0);
+        p = (p + kThreads) % kN;
+      } else {
+        const auto op = recorder.begin(thread, "CounterRead", 0);
+        recorder.end(thread, op, checked.read(p));
+      }
+    }
+  });
+  const auto res = lincheck::check_linearizable(recorder.harvest(),
+                                                lincheck::CounterSpec{});
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.linearizable) << res.message;
 }
 
 }  // namespace

@@ -4,14 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "ruco/farray/farray.h"
+#include "ruco/lincheck/checker.h"
+#include "ruco/lincheck/specs.h"
+#include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/runtime/thread_harness.h"
 #include "ruco/util/bits.h"
 #include "ruco/util/rng.h"
+#include "ruco/util/tree_shape.h"
 
 namespace ruco::farray {
 namespace {
@@ -144,6 +150,87 @@ TEST(FArray, RandomizedAgainstOracle) {
     for (const Value v : slots) sum += v;
     ASSERT_EQ(fa.read_aggregate(0), sum) << "op " << i;
   }
+}
+
+
+// ------------------------------------------------ dense cell layout
+
+// Cache lines spanned by the node cells (the allocation starts on a line).
+std::size_t cell_lines(const runtime::DenseAtomicArray<Value>& cells) {
+  const std::size_t bytes = cells.size() * sizeof(cells[0]);
+  return (bytes + runtime::kCacheLine - 1) / runtime::kCacheLine;
+}
+
+TEST(FArrayDense, CellsAreOneLineAlignedAllocation) {
+  // The trees of FArrayCounter{64} and TreeMaxRegister{64}.
+  const SumFArray counter{64, 0};
+  const MaxFArray alg_a{util::algorithm_a_shape(64), kNoValue};
+  for (const auto* cells : {&counter.cells(), &alg_a.cells()}) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(cells->data()) %
+                  runtime::kCacheLine,
+              0u);
+    EXPECT_EQ(sizeof((*cells)[0]), sizeof(Value));
+  }
+  EXPECT_EQ(counter.cells().size(), counter.shape().node_count());
+  EXPECT_LE(cell_lines(counter.cells()), 16u);
+  EXPECT_LE(cell_lines(alg_a.cells()), 32u);
+}
+
+// Four threads over N = 64 slots, thread t owning the slots = t mod 4: the
+// eight leaves of every line have four different writers, the dense
+// layout's false-sharing worst case.
+constexpr std::uint32_t kStripedThreads = 4;
+constexpr std::uint32_t kStripedSlots = 64;
+
+TEST(FArrayDense, StripedWritersSumIsExactAndNeverRegresses) {
+  constexpr Value kRounds = 300;
+  SumFArray fa{kStripedSlots, 0};
+  std::array<bool, kStripedThreads> monotone{true, true, true, true};
+  runtime::run_threads(kStripedThreads, [&](std::size_t t) {
+    Value last = 0;
+    for (Value round = 1; round <= kRounds; ++round) {
+      for (auto s = static_cast<ProcId>(t); s < kStripedSlots;
+           s += kStripedThreads) {
+        fa.update(s, round);
+        const Value seen = fa.read_aggregate(static_cast<ProcId>(t));
+        if (seen < last) monotone[t] = false;
+        last = seen;
+      }
+    }
+  });
+  EXPECT_EQ(fa.read_aggregate(0), kRounds * kStripedSlots);
+  for (std::uint32_t t = 0; t < kStripedThreads; ++t) {
+    EXPECT_TRUE(monotone[t]) << "thread " << t << " saw the sum regress";
+  }
+}
+
+TEST(FArrayDense, StripedWritersMaxIsLinearizable) {
+  // Thread t writes t, t+4, t+8, ... round-robin over its slots, so every
+  // slot's values rise, and reads the aggregate in between.
+  MaxFArray fa{kStripedSlots, kNoValue};
+  lincheck::Recorder recorder{kStripedThreads};
+  runtime::run_threads(kStripedThreads, [&](std::size_t t) {
+    const auto thread = static_cast<ProcId>(t);
+    util::SplitMix64 rng{77 + t};
+    auto slot = thread;
+    Value v = static_cast<Value>(t);
+    for (int i = 0; i < 40; ++i) {
+      if (rng.chance(1, 2)) {
+        const auto op = recorder.begin(thread, "WriteMax", v);
+        fa.update(slot, v);
+        recorder.end(thread, op, 0);
+        v += kStripedThreads;
+        slot = (slot + kStripedThreads) % kStripedSlots;
+      } else {
+        const auto op = recorder.begin(thread, "ReadMax", 0);
+        recorder.end(thread, op, fa.read_aggregate(thread));
+      }
+    }
+  });
+  const auto res = lincheck::check_linearizable(recorder.harvest(),
+                                                lincheck::MaxRegisterSpec{});
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.linearizable) << res.message;
 }
 
 }  // namespace
