@@ -6,8 +6,9 @@
 // crashed lock holder and the survivors spin until the schedule budget
 // runs out.
 //
-// --json <path> dumps the table as JSON; --smoke shrinks the seed count
-// for fast CI runs.
+// --json <path> dumps the table as JSON, with the host's CPU count
+// (nproc), the build type and the compiler at the top; --smoke shrinks the
+// seed count for fast CI runs.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "ruco/sim/schedulers.h"
 #include "ruco/sim/system.h"
 #include "ruco/simalgos/programs.h"
+#include "provenance.h"
 
 namespace {
 
@@ -111,7 +113,9 @@ int main(int argc, char** argv) {
   t.print();
   if (!json_path.empty()) {
     std::ofstream out{json_path};
-    out << "{\n  \"bench\": \"crash_storm\",\n  \"procs\": " << kProcs
+    out << "{\n  \"bench\": \"crash_storm\",\n";
+    ruco::bench::write_provenance(out);
+    out << "  \"procs\": " << kProcs
         << ",\n  \"seeds\": " << kSeeds << ",\n  \"series\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       out << "    {\"algorithm\": \"" << rows[i].name

@@ -1,7 +1,8 @@
 // Hardware throughput with cross-layer telemetry: ops/sec, shared-memory
 // steps/op (the paper's complexity measure, from runtime::thread_steps),
 // and CAS failure rate (from the ruco::telemetry registry deltas) for the
-// production max-register and counter implementations under real threads.
+// production max-register, counter and software 2-CAS implementations
+// under real threads.
 //
 // The step-complexity benches report *per-operation* cost on one thread;
 // this one reports the contended picture the telemetry layer exists for:
@@ -17,6 +18,10 @@
 //             the root path instead of short-circuiting -- the worst-case
 //             CAS-contention regime the conditional refresh and backoff are
 //             aimed at.
+// The "dcas transfer" workload (default mode only) moves 1..7 units
+// between two random cells of an 8-cell McasArray with a dcas: every op
+// races on a few shared words, and its rows also report MCAS helps per op
+// and the share of dcas calls that succeeded.
 //
 //   --threads=N   worker threads (default 4)
 //   --ms=M        measured window per workload (default 200)
@@ -32,21 +37,20 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "ruco/core/table.h"
 #include "ruco/counter/farray_counter.h"
+#include "ruco/kcas/mcas.h"
 #include "ruco/maxreg/cas_max_register.h"
 #include "ruco/maxreg/tree_max_register.h"
+#include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/runtime/thread_harness.h"
 #include "ruco/telemetry/registry.h"
 #include "ruco/telemetry/timeline.h"
+#include "ruco/util/rng.h"
+#include "provenance.h"
 
 namespace {
 
@@ -68,6 +72,9 @@ struct WorkloadResult {
   double wall_s = 0.0;
   std::uint64_t cas_attempts = 0;  // registry delta over the window
   std::uint64_t cas_failures = 0;
+  std::uint64_t mcas_ops = 0;  // registry delta over the window
+  std::uint64_t mcas_helps = 0;
+  std::uint64_t dcas_ok = 0;  // successful dcas calls (dcas transfer only)
 
   [[nodiscard]] double ops_per_sec() const {
     return wall_s > 0 ? static_cast<double>(ops) / wall_s : 0.0;
@@ -80,6 +87,15 @@ struct WorkloadResult {
     return cas_attempts > 0 ? static_cast<double>(cas_failures) /
                                   static_cast<double>(cas_attempts)
                             : 0.0;
+  }
+  [[nodiscard]] double helps_per_op() const {
+    return mcas_ops > 0 ? static_cast<double>(mcas_helps) /
+                              static_cast<double>(mcas_ops)
+                        : 0.0;
+  }
+  [[nodiscard]] double success_ratio() const {
+    return ops > 0 ? static_cast<double>(dcas_ok) / static_cast<double>(ops)
+                   : 0.0;
   }
 };
 
@@ -142,18 +158,11 @@ WorkloadResult run_workload(const std::string& name, const std::string& mode,
     r.cas_failures += registry_value(after, "maxreg", name_in_domain) -
                       registry_value(before, "maxreg", name_in_domain);
   }
+  r.mcas_ops = registry_value(after, "mcas", "ops") -
+               registry_value(before, "mcas", "ops");
+  r.mcas_helps = registry_value(after, "mcas", "helps") -
+                 registry_value(before, "mcas", "helps");
   return r;
-}
-
-// The CPUs this process may run on, counted as nproc(1) counts them.
-std::size_t usable_cpus() {
-#ifdef __linux__
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    return static_cast<std::size_t>(CPU_COUNT(&set));
-  }
-#endif
-  return std::thread::hardware_concurrency();
 }
 
 }  // namespace
@@ -194,7 +203,7 @@ int main(int argc, char** argv) {
 
   std::vector<WorkloadResult> results;
 
-  // One pass over the three workloads at a given thread count.  In the
+  // One pass over the workloads at a given thread count.  In the
   // default mode thread t writes its own op counter (values collide across
   // threads: the duplicate/fast-path regime); in contend mode thread t
   // writes ops * tc + t so every write is a fresh maximum racing up the
@@ -238,6 +247,32 @@ int main(int argc, char** argv) {
             if (!contended) (void)counter.read(static_cast<ruco::ProcId>(t));
           }));
     }
+    if (!contended) {
+      constexpr std::uint32_t kCells = 8;
+      ruco::kcas::McasArray cells{kCells, 1'000'000, n};
+      std::vector<ruco::runtime::PaddedAtomic<std::uint64_t>> ok(tc);
+      const auto op = recorder.intern("mcas.dcas_transfer");
+      WorkloadResult r = run_workload(
+          "dcas transfer", mode, tc, window_ms, rec, op,
+          [&](std::size_t t, std::uint64_t ops) {
+            // Stateless draw: no generator state shared between threads.
+            ruco::util::SplitMix64 rng{(std::uint64_t{t} << 48) ^ ops};
+            const auto a = static_cast<std::uint32_t>(rng.below(kCells));
+            const auto b = static_cast<std::uint32_t>(
+                (a + 1 + rng.below(kCells - 1)) % kCells);
+            const auto units = static_cast<ruco::Value>(rng.range(1, 7));
+            const auto p = static_cast<ruco::ProcId>(t);
+            const ruco::Value va = cells.read(p, a);
+            const ruco::Value vb = cells.read(p, b);
+            if (cells.dcas(p, {a, va, va - units}, {b, vb, vb + units})) {
+              auto& mine = ok[t].value;  // written by thread t only
+              mine.store(mine.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+            }
+          });
+      for (const auto& c : ok) r.dcas_ok += c.value.load();
+      results.push_back(r);
+    }
   };
 
   std::vector<std::size_t> thread_counts;
@@ -251,20 +286,21 @@ int main(int argc, char** argv) {
   }
 
   ruco::Table t{{"workload", "mode", "threads", "ops/sec", "steps/op",
-                 "CAS fail rate"}};
+                 "CAS fail rate", "MCAS helps/op", "dcas success"}};
   for (const auto& r : results) {
+    const bool kcas = r.mcas_ops > 0;
     t.add(r.name, r.mode, r.threads,
           static_cast<std::uint64_t>(r.ops_per_sec()), r.steps_per_op(),
-          r.cas_fail_rate());
+          r.cas_fail_rate(), kcas ? std::to_string(r.helps_per_op()) : "-",
+          kcas ? std::to_string(r.success_ratio()) : "-");
   }
   t.print();
 
   if (!json_path.empty()) {
     std::ofstream out{json_path};
-    out << "{\n  \"bench\": \"hw_throughput\",\n  \"nproc\": "
-        << usable_cpus() << ",\n  \"build_type\": \"" << RUCO_BUILD_TYPE
-        << "\",\n  \"compiler\": \"" << RUCO_COMPILER
-        << "\",\n  \"threads\": " << threads
+    out << "{\n  \"bench\": \"hw_throughput\",\n";
+    ruco::bench::write_provenance(out);
+    out << "  \"threads\": " << threads
         << ",\n  \"window_ms\": " << window_ms << ",\n  \"series\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
@@ -274,8 +310,12 @@ int main(int argc, char** argv) {
           << ", \"steps_per_op\": " << r.steps_per_op()
           << ", \"cas_attempts\": " << r.cas_attempts
           << ", \"cas_failures\": " << r.cas_failures
-          << ", \"cas_fail_rate\": " << r.cas_fail_rate() << "}"
-          << (i + 1 == results.size() ? "" : ",") << "\n";
+          << ", \"cas_fail_rate\": " << r.cas_fail_rate();
+      if (r.mcas_ops > 0) {
+        out << ", \"helps_per_op\": " << r.helps_per_op()
+            << ", \"success_ratio\": " << r.success_ratio();
+      }
+      out << "}" << (i + 1 == results.size() ? "" : ",") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "\nwrote " << json_path << "\n";
@@ -302,6 +342,8 @@ int main(int argc, char** argv) {
                "conditional refresh pruning the second CAS round (near-zero "
                "failures in the default regime, root fast path absorbing "
                "duplicate maxima); the f-array counter reads in one step "
-               "with O(log N) updates.\n";
+               "with O(log N) updates; the software 2-CAS pays ~3k+1 steps "
+               "per transfer plus the wait before it helps a transfer that "
+               "holds its words.\n";
   return 0;
 }

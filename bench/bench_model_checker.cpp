@@ -26,7 +26,9 @@
 //     tickets), wall time should drop near-linearly.
 //
 // --json <path> writes the measurements (including the headline speedup)
-// as JSON for CI and the checked-in BENCH_model_checker.json; --smoke
+// as JSON for CI and the checked-in BENCH_model_checker.json, with the
+// host's CPU count (nproc), the build type and the compiler at the top;
+// --smoke
 // shrinks the workloads for fast CI runs.
 #include <cstdint>
 #include <fstream>
@@ -41,6 +43,7 @@
 #include "ruco/lincheck/specs.h"
 #include "ruco/sim/model_checker.h"
 #include "ruco/simalgos/sim_max_registers.h"
+#include "provenance.h"
 
 namespace {
 
@@ -143,8 +146,9 @@ void write_json(const std::string& path, bool smoke,
                 double optimized_ms,
                 const std::vector<std::pair<std::uint32_t, double>>& scaling) {
   std::ofstream out{path};
-  out << "{\n  \"bench\": \"model_checker\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+  out << "{\n  \"bench\": \"model_checker\",\n";
+  ruco::bench::write_provenance(out);
+  out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"hardware_cores\": " << std::thread::hardware_concurrency()
       << ",\n"
       << "  \"headline\": {\n"

@@ -8,14 +8,38 @@
 // Layered exactly as in the paper that introduced it:
 //   RDCSS  -- restricted double-compare single-swap: CAS word a2 from o2 to
 //             n2 only if control word a1 still holds o1.  Implemented by
-//             parking a descriptor in a2; any reader that stumbles on the
-//             descriptor helps complete it.
+//             parking a descriptor in a2; an acquirer that stumbles on the
+//             descriptor completes it.
 //   MCAS   -- acquire every target word with RDCSS (control = the MCAS
 //             status, so acquisition stops the instant the MCAS is
 //             decided), then decide SUCCEEDED/FAILED with one CAS on the
 //             status, then release every word to its new/old value.
-//             Lock-free: any thread that meets a descriptor helps that
-//             operation to completion before retrying its own.
+//             Lock-free: an acquirer that meets another operation's
+//             descriptor watches the word for a bounded spin (its owner is
+//             usually about to release it) and helps that operation to
+//             completion only if the descriptor is still there.
+//
+// Reads are wait-free and never help (the read of Guerraoui, Kogan,
+// Marathe & Zablotchi, "Efficient Multi-word Compare and Swap", DISC
+// 2020): a read that meets a descriptor returns the cell's *logical*
+// value, in at most three steps.
+//   * A cell holding an RDCSS descriptor has that descriptor's `expected`
+//     as its logical value.  The park CAS replaced exactly `expected`, and
+//     the descriptor is unparked once: back to `expected`, or -- if the
+//     unpark loaded the status as undecided -- to its MCAS descriptor,
+//     whose operation cannot succeed while this word is not yet acquired
+//     for it.
+//   * A cell holding an MCAS descriptor has the word's `desired` as its
+//     logical value if the status is SUCCEEDED and its `expected`
+//     otherwise.  A descriptor leaves a cell only in phase 2, after the
+//     decision, so a status read as undecided means the operation has not
+//     linearized and the cell still holds `expected`; a status read as
+//     SUCCEEDED linearizes the read at the later of its cell load and the
+//     decision.  A FAILED operation changes nothing: the descriptor
+//     replaced `expected` and phase 2 puts it back.
+// The status load is acquire: reading SUCCEEDED must also make every
+// other word's acquisition visible, or a following read of another word
+// of the same operation could still see its old value.
 //
 // Tagging: cells are std::uintptr_t; values are stored shifted left by 2,
 // descriptors carry tag 01 (RDCSS) or 10 (MCAS) in the low bits.  Values
@@ -26,10 +50,10 @@
 // descriptor retires it once rdcss() returns (it is unparked by then and
 // nothing parks it again); the owner retires the MCAS descriptor, which
 // also holds the words and the owner's first-attempt RDCSS descriptors,
-// after phase 2.  read() keeps a pin-free
-// fast path for plain values and pins only to help.  While a thread that
-// loaded a descriptor pointer is pinned the descriptor cannot be freed, so
-// no address can be reused under a pending CAS: descriptor ABA stays ruled
+// after phase 2.  read() keeps a pin-free fast path for plain values and
+// pins only to resolve a descriptor.  While a thread that loaded a
+// descriptor pointer is pinned the descriptor cannot be freed, so no
+// address can be reused under a pending CAS: descriptor ABA stays ruled
 // out, as it was when descriptors lived as long as the array.
 //
 // The MCAS descriptor waits two grace periods, not one.  A helper that
@@ -41,10 +65,11 @@
 // so after one grace period no cell or parked RDCSS holds the descriptor,
 // and after a second no thread does.
 //
-// Step accounting counts every CAS/load on the cells (helping included),
-// so the benchmarks show the true base-object cost of a software k-CAS:
-// ~3k+1 CAS-object steps per uncontended k-word operation -- the
-// constant-factor price of strengthening the primitive in software.
+// Step accounting counts every CAS/load on the cells and status words
+// (helping and the wait before helping included), so the benchmarks show
+// the true base-object cost of a software k-CAS: ~3k+1 CAS-object steps
+// per uncontended k-word operation -- the constant-factor price of
+// strengthening the primitive in software.
 #pragma once
 
 #include <atomic>
@@ -73,7 +98,10 @@ class McasArray {
   McasArray(const McasArray&) = delete;
   McasArray& operator=(const McasArray&) = delete;
 
-  /// Linearizable read of one cell (helps any parked operation first).
+  /// Linearizable, wait-free read of one cell: one step on a plain value;
+  /// on a descriptor it pins, reloads and returns the cell's logical value
+  /// (two steps for an RDCSS descriptor, three for an MCAS one, whose
+  /// status it loads) and never helps.
   [[nodiscard]] Value read(ProcId proc, std::uint32_t index);
 
   /// Atomically: if every word still holds its expected value, install all
@@ -81,10 +109,8 @@ class McasArray {
   /// false.  Words are deduplicated/validated (same index twice throws).
   bool mcas(ProcId proc, std::vector<McasWord> words);
 
-  /// Convenience 2-CAS.
-  bool dcas(ProcId proc, const McasWord& a, const McasWord& b) {
-    return mcas(proc, std::vector<McasWord>{a, b});
-  }
+  /// Convenience 2-CAS; allocates nothing besides the descriptor.
+  bool dcas(ProcId proc, const McasWord& a, const McasWord& b);
 
   [[nodiscard]] std::uint32_t num_cells() const noexcept {
     return static_cast<std::uint32_t>(cells_.size());
@@ -94,6 +120,8 @@ class McasArray {
   static constexpr Value kMinValue = -(Value{1} << 60);
 
  private:
+  friend struct McasArrayTestPeer;  // white-box tests of read()
+
   using Word = std::uintptr_t;
 
   enum class Status : std::uintptr_t { kUndecided = 0, kSucceeded, kFailed };
@@ -129,6 +157,12 @@ class McasArray {
   static_assert(sizeof(McasDescriptor) % alignof(McasWord) == 0);
   static_assert(sizeof(McasWord) % alignof(RdcssDescriptor) == 0);
 
+  /// Pauses phase 1 spends watching a word that another operation holds
+  /// before it helps that operation (~5 us at ~20 ns per pause): long
+  /// enough for a running owner to release the word, bounded so that an
+  /// owner that stalls is still helped and mcas stays lock-free.
+  static constexpr std::uint32_t kHelpWaitPauses = 256;
+
   static constexpr Word kTagMask = 3;
   static constexpr Word kRdcssTag = 1;
   static constexpr Word kMcasTag = 2;
@@ -159,14 +193,19 @@ class McasArray {
   static void destroy_rdcss(void* d) noexcept;
   /// The descriptor of a validated, sorted word list, not yet published.
   [[nodiscard]] McasDescriptor* make_descriptor(
-      const std::vector<McasWord>& words);
+      std::span<const McasWord> words);
+  /// mcas() and dcas(): sorts `words` in place, validates and runs them.
+  bool run(std::span<McasWord> words);
   /// HFP Figure 3: drives `d` to completion (possibly helping); returns
   /// whether it succeeded.  The caller is pinned; only d's owner passes
   /// `owner` = true, to use d's embedded RDCSS descriptors.
   bool mcas_help(McasDescriptor* d, bool owner = false);
-  /// read()'s slow path: pins, then reloads the cell and helps until it
-  /// holds a value.
-  Value read_helping(std::uint32_t index);
+  /// Phase 1's wait before helping: reloads `cell` after each pause, up to
+  /// kHelpWaitPauses, and returns whether it still holds `held`.
+  static bool still_held_after_wait(const std::atomic<Word>& cell, Word held);
+  /// read()'s slow path: pins, reloads the cell and resolves a descriptor
+  /// to the cell's logical value without helping.
+  Value read_resolving(std::uint32_t index);
 
   std::vector<runtime::PaddedAtomic<Word>> cells_;
 };

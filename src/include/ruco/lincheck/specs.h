@@ -1,4 +1,4 @@
-// Sequential specifications of the three object families, consumed by the
+// Sequential specifications of the object families, consumed by the
 // Wing-Gong checker.  A Spec provides:
 //   State            -- value-semantic, hashable via Spec::hash, comparable;
 //   initial()        -- the state before any operation;
@@ -94,6 +94,43 @@ struct SnapshotSpec {
 
  private:
   std::size_t n_;
+};
+
+/// McasArray cells under Read(i) and Dcas transfers of one unit from cell
+/// a to cell b, recorded with their parameters {a, b, expected_a,
+/// expected_b, succeeded} in ret_vec.  Every cell starts at `init`.
+struct CellsSpec {
+  using State = std::vector<Value>;
+
+  std::size_t cells = 0;
+  Value init = 0;
+
+  [[nodiscard]] State initial() const { return State(cells, init); }
+
+  [[nodiscard]] std::optional<State> apply(const State& s,
+                                           const OpRecord& op) const {
+    if (op.op == "Read") {
+      if (s[static_cast<std::size_t>(op.arg)] != op.ret) return std::nullopt;
+      return s;
+    }
+    if (op.op == "Dcas") {
+      const auto& r = op.ret_vec;
+      const auto a = static_cast<std::size_t>(r[0]);
+      const auto b = static_cast<std::size_t>(r[1]);
+      const bool match = s[a] == r[2] && s[b] == r[3];
+      if (match != (r[4] != 0)) return std::nullopt;
+      if (!match) return s;
+      State next = s;
+      next[a] -= 1;
+      next[b] += 1;
+      return next;
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] static std::size_t hash(const State& s) {
+    return SnapshotSpec::hash(s);
+  }
 };
 
 }  // namespace ruco::lincheck

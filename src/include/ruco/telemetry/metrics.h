@@ -31,8 +31,8 @@ struct ProdMetrics {
 
   // kcas: helping economy of HFP MCAS.
   Counter mcas_ops;            // top-level mcas() calls
-  Counter mcas_helps;          // mcas_help entered on behalf of another op
-  Counter mcas_rdcss_helps;    // rdcss_complete invoked by a reader
+  Counter mcas_helps;          // phase 1 helped another op after its wait
+  Counter mcas_rdcss_helps;    // parked RDCSS an acquirer completed
   Counter mcas_cas_failures;   // failed phase-1 rdcss acquisitions
 
   // reclaim: epoch-based reclamation of snapshot views and descriptors.

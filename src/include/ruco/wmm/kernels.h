@@ -33,9 +33,22 @@
 //       The MCAS descriptor-publication pattern from src/kcas/mcas.cpp:
 //       descriptor fields written plain, published by the install CAS
 //       (acq_rel), re-read by helpers through acquire cell loads; the
-//       status decide CAS publishes helper-side writes back.  Invariant:
-//       no torn descriptor read (all plain reads see the published
-//       values, race-free).
+//       status decide CAS publishes helper-side writes back.  The helper
+//       side is also McasArray::read's resolving path, which acquire-loads
+//       the cell and reads the descriptor's plain fields.  Invariant: no
+//       torn descriptor read (all plain reads see the published values,
+//       race-free).
+//
+//   mcas-resolving-read
+//       McasArray::read resolving both words of one 2-word MCAS without
+//       helping: the owner acquires both words, decides SUCCEEDED and
+//       releases both; a reader reads word 0 then word 1, mapping a
+//       descriptor to the word's new value if it loads the status as
+//       SUCCEEDED and to its old value otherwise.  Invariant: the reader
+//       never sees word 0 new and then word 1 old (the acquire status load
+//       and the release phase-2 CAS are what rule that out).  Not part of
+//       protocol_kernels(), whose list the repository benchmark's verify
+//       workload runs.
 //
 //   reclaim-grace-period
 //       The epoch-reclamation handshake from ruco/reclaim/ebr.h: a reader
@@ -86,6 +99,8 @@ struct McasOrders {
   std::memory_order status_decide = runtime::mo_acq_rel;
   std::memory_order status_decide_fail = runtime::mo_acquire;
   std::memory_order status_read = runtime::mo_acquire;
+  std::memory_order release_ok = runtime::mo_release;  // phase-2 release CAS
+  std::memory_order resolve_status_load = runtime::mo_acquire;  // read()
 };
 
 /// Per-site orders of the reclamation handshake, mirroring
@@ -118,6 +133,7 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o = {});
 Kernel make_root_read_kernel(const PropagateOrders& o = {});
 Kernel make_leaf_handoff_kernel(const PropagateOrders& o = {});
 Kernel make_mcas_publication_kernel(const McasOrders& o = {});
+Kernel make_mcas_resolving_read_kernel(const McasOrders& o = {});
 Kernel make_reclaim_grace_period_kernel(const ReclaimOrders& o = {});
 
 /// All kernels at the shipped orders.  The acceptance bar: zero
@@ -141,6 +157,10 @@ std::vector<MutationSite> mutation_sites();
 /// out of mutation_sites(), whose count the repository benchmark's verify
 /// workload pins; rucosim wmm and wmm_test run both lists.
 std::vector<MutationSite> reclaim_mutation_sites();
+
+/// The resolving read's sites (mcas-resolving-read kernel), kept out of
+/// mutation_sites() for the same reason; rucosim wmm and wmm_test run them.
+std::vector<MutationSite> mcas_read_mutation_sites();
 
 struct MutationOutcome {
   std::string id;

@@ -21,10 +21,14 @@
 //   * any plain load whose value may be dereferenced (cell reads, status
 //     control reads): acquire;
 //   * CASes whose failure value is discarded (rdcss_complete's unpark,
-//     phase-2 release CASes): release/relaxed.
+//     phase-2 release CASes): release/relaxed;
+//   * the reloads of phase 1's wait before helping: relaxed, since the
+//     reloaded word is only compared with the descriptor pointer already
+//     loaded (with acquire) by the RDCSS CAS, never dereferenced.
 // The status word is the linearization point; its decide-CAS is acq_rel so
 // the decision both publishes phase-1's acquisitions and orders phase 2
-// after every acquisition it saw.
+// after every acquisition it saw; read()'s status load is acquire so that
+// a SUCCEEDED status also shows it every other word's acquisition (mcas.h).
 // Orders are named through ruco/runtime/memorder.h so RUCO_SEQCST_ATOMICS
 // can collapse them to seq_cst on weak-memory targets.
 
@@ -99,7 +103,7 @@ void McasArray::destroy_rdcss(void* d) noexcept {
 }
 
 McasArray::McasDescriptor* McasArray::make_descriptor(
-    const std::vector<McasWord>& words) {
+    std::span<const McasWord> words) {
   const std::size_t n = words.size();
   void* mem = reclaim::allocate(McasDescriptor::bytes(n));
   auto* d = ::new (mem) McasDescriptor;
@@ -125,7 +129,6 @@ bool McasArray::mcas_help(McasDescriptor* d, bool owner) {
     for (std::size_t i = 0; i < d->size; ++i) {
       const McasWord& word = d->words()[i];
       RdcssDescriptor* embedded = owner ? d->owner_rdcss() + i : nullptr;
-      runtime::Backoff backoff;
       for (;;) {
         RdcssDescriptor* rd = embedded;
         if (rd == nullptr) {
@@ -145,12 +148,13 @@ bool McasArray::mcas_help(McasDescriptor* d, bool owner) {
         }
         if (is_mcas(content)) {
           if (as_mcas(content) != d) {
-            // A different MCAS holds the word: help it finish, then retry
-            // after a bounded backoff (helping storms thrash the word's
-            // line; the helped op has already made our progress).
-            telemetry::prod().mcas_helps.inc();
-            mcas_help(as_mcas(content));
-            backoff.pause();
+            // A different MCAS holds the word.  Its owner is usually about
+            // to release it, and a helper would race the owner on the same
+            // lines: wait first, and help only an operation that stays.
+            if (still_held_after_wait(cells_[word.index].value, content)) {
+              telemetry::prod().mcas_helps.inc();
+              mcas_help(as_mcas(content));
+            }
             continue;
           }
           break;  // already acquired for d (by a helper)
@@ -188,38 +192,52 @@ bool McasArray::mcas_help(McasDescriptor* d, bool owner) {
   return success;
 }
 
+bool McasArray::still_held_after_wait(const std::atomic<Word>& cell,
+                                      Word held) {
+  for (std::uint32_t i = 0; i < kHelpWaitPauses; ++i) {
+    runtime::cpu_pause();
+    runtime::step_tick();
+    if (cell.load(runtime::mo_relaxed) != held) return false;
+  }
+  return true;
+}
+
 Value McasArray::read(ProcId /*proc*/, std::uint32_t index) {
   runtime::step_tick();
   const Word w = cells_[index].value.load(runtime::mo_acquire);
   if ((w & kTagMask) == 0) [[likely]] return unpack_value(w);
   // A descriptor, loaded unpinned: it may be freed already, so pin and
   // reload rather than dereference it.
-  return read_helping(index);
+  return read_resolving(index);
 }
 
-Value McasArray::read_helping(std::uint32_t index) {
+Value McasArray::read_resolving(std::uint32_t index) {
   const reclaim::Guard pin;
-  runtime::Backoff backoff;
-  for (;;) {
-    runtime::step_tick();
-    const Word w = cells_[index].value.load(runtime::mo_acquire);
-    if (is_rdcss(w)) {
-      telemetry::prod().mcas_rdcss_helps.inc();
-      rdcss_complete(as_rdcss(w));
-      backoff.pause();
-      continue;
-    }
-    if (is_mcas(w)) {
-      telemetry::prod().mcas_helps.inc();
-      mcas_help(as_mcas(w));
-      backoff.pause();
-      continue;
-    }
-    return unpack_value(w);
-  }
+  runtime::step_tick();
+  const Word w = cells_[index].value.load(runtime::mo_acquire);
+  if (is_rdcss(w)) return unpack_value(as_rdcss(w)->expected);
+  if (!is_mcas(w)) return unpack_value(w);
+  McasDescriptor* d = as_mcas(w);
+  runtime::step_tick();
+  const bool succeeded = d->status.load(runtime::mo_acquire) ==
+                         static_cast<std::uintptr_t>(Status::kSucceeded);
+  const auto words = d->words();
+  const auto word = std::find_if(
+      words.begin(), words.end(),
+      [index](const McasWord& x) { return x.index == index; });
+  return succeeded ? word->desired : word->expected;
 }
 
 bool McasArray::mcas(ProcId /*proc*/, std::vector<McasWord> words) {
+  return run(words);
+}
+
+bool McasArray::dcas(ProcId /*proc*/, const McasWord& a, const McasWord& b) {
+  McasWord words[] = {a, b};
+  return run(words);
+}
+
+bool McasArray::run(std::span<McasWord> words) {
   if (words.empty()) return true;
   std::sort(words.begin(), words.end(),
             [](const McasWord& a, const McasWord& b) {

@@ -1,5 +1,6 @@
 #include "ruco/wmm/kernels.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -24,6 +25,16 @@ std::string check_plain_reads(const Graph& g, LocId loc, Value expected) {
     }
   }
   return "";
+}
+
+// Appends one mutation site to `out`.
+void add_site(std::vector<MutationSite>& out, std::string id,
+              std::string note, std::function<Kernel()> make) {
+  MutationSite site;
+  site.id = std::move(id);
+  site.note = std::move(note);
+  site.make = std::move(make);
+  out.push_back(std::move(site));
 }
 
 std::string check_monotone(const Graph& g, LocId loc) {
@@ -196,8 +207,9 @@ Kernel make_mcas_publication_kernel(const McasOrders& o) {
   k.name = "mcas-publication";
   k.description =
       "MCAS descriptor publication (kcas/mcas.cpp): plain descriptor "
-      "fields published by the install CAS, helper result published "
-      "back by the status decide CAS";
+      "fields published by the install CAS and read behind an acquire "
+      "cell load (by helpers and by read()'s resolving path), helper "
+      "result published back by the status decide CAS";
   auto cell = k.program.atomic<Value>("cell", 0);      // loc 0
   auto status = k.program.atomic<Value>("status", 0);  // loc 1
   auto field = k.program.plain<Value>("field", 0);     // loc 2: owner-written
@@ -227,6 +239,72 @@ Kernel make_mcas_publication_kernel(const McasOrders& o) {
   k.invariant = [](const Graph& g) -> std::string {
     if (auto msg = check_plain_reads(g, 2, 42); !msg.empty()) return msg;
     return check_plain_reads(g, 3, 9);
+  };
+  return k;
+}
+
+Kernel make_mcas_resolving_read_kernel(const McasOrders& o) {
+  constexpr Value kDesc = 7;       // "pointer to" the descriptor
+  constexpr Value kSucceeded = 1;  // status value
+  constexpr Value kNew = 1;        // both words go 0 -> 1
+  constexpr LocId kStatus = 2;
+  Kernel k;
+  k.name = "mcas-resolving-read";
+  k.description =
+      "McasArray::read (kcas/mcas.cpp) resolving both words of a 2-word "
+      "MCAS without helping: a SUCCEEDED status must show every word's "
+      "acquisition";
+  auto c0 = k.program.atomic<Value>("c0", 0);                  // loc 0
+  auto c1 = k.program.atomic<Value>("c1", 0);                  // loc 1
+  auto status = k.program.atomic<Value>("status", 0);          // loc 2
+  k.program.thread([=] {
+    // Owner: acquire both words, decide, release both words.
+    for (Atomic<Value> cell : {c0, c1}) {
+      Value e = 0;
+      cell.compare_exchange_strong(e, kDesc, o.install_ok, o.install_fail);
+    }
+    Value e = 0;
+    status.compare_exchange_strong(e, kSucceeded, o.status_decide,
+                                   o.status_decide_fail);
+    for (Atomic<Value> cell : {c0, c1}) {
+      Value d = kDesc;
+      cell.compare_exchange_strong(d, kNew, o.release_ok,
+                                   std::memory_order_relaxed);
+    }
+  });
+  k.program.thread([=] {
+    // Reader: word 0, then word 1, each resolved through the status.
+    for (Atomic<Value> cell : {c0, c1}) {
+      Value v = cell.load(o.cell_load);
+      if (v == kDesc) {
+        v = status.load(o.resolve_status_load) == kSucceeded ? kNew : 0;
+      }
+      observe(v);
+    }
+  });
+  k.invariant = [](const Graph& g) -> std::string {
+    // Replay the reader's resolutions from its loads in program order.
+    std::vector<const Event*> loads;
+    for (const Event& e : g.events()) {
+      if (e.thread == 1 && e.kind == EventKind::kLoad) loads.push_back(&e);
+    }
+    std::sort(loads.begin(), loads.end(), [](const Event* a, const Event* b) {
+      return a->index < b->index;
+    });
+    std::vector<Value> resolved;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      Value v = loads[i]->value_read;
+      if (v == kDesc && i + 1 < loads.size() &&
+          loads[i + 1]->loc == kStatus) {
+        v = loads[++i]->value_read == kSucceeded ? kNew : 0;
+      }
+      resolved.push_back(v);
+    }
+    if (resolved.size() == 2 && resolved[0] == kNew && resolved[1] == 0) {
+      return "torn MCAS read: word 0 read after the operation, word 1 "
+             "before it";
+    }
+    return "";
   };
   return k;
 }
@@ -415,15 +493,7 @@ std::vector<MutationSite> mutation_sites() {
 
 std::vector<MutationSite> reclaim_mutation_sites() {
   std::vector<MutationSite> out;
-  auto add = [&](std::string id, std::string note,
-                 std::function<Kernel()> make) {
-    MutationSite site;
-    site.id = std::move(id);
-    site.note = std::move(note);
-    site.make = std::move(make);
-    out.push_back(std::move(site));
-  };
-  add("reclaim-grace-period:pin_fence sc->acq_rel",
+  add_site(out, "reclaim-grace-period:pin_fence sc->acq_rel",
       "without the seq_cst pin fence the reader's root load may miss the "
       "unlink while the reclaimer misses the pin (store buffering): the "
       "free races the read of a view the reader still holds",
@@ -432,7 +502,7 @@ std::vector<MutationSite> reclaim_mutation_sites() {
         o.pin_fence = std::memory_order_acq_rel;
         return make_reclaim_grace_period_kernel(o);
       });
-  add("reclaim-grace-period:reclaim_fence sc->acq_rel",
+  add_site(out, "reclaim-grace-period:reclaim_fence sc->acq_rel",
       "without the seq_cst fence after the unlink the epoch/slot check may "
       "miss the pin while the reader misses the unlink (store buffering)",
       [] {
@@ -440,7 +510,7 @@ std::vector<MutationSite> reclaim_mutation_sites() {
         o.reclaim_fence = std::memory_order_acq_rel;
         return make_reclaim_grace_period_kernel(o);
       });
-  add("reclaim-grace-period:slot_load acq->rlx",
+  add_site(out, "reclaim-grace-period:slot_load acq->rlx",
       "a relaxed slot load sees the unpin but not the reads before it: "
       "the free races the reader's last read",
       [] {
@@ -448,13 +518,34 @@ std::vector<MutationSite> reclaim_mutation_sites() {
         o.slot_load = std::memory_order_relaxed;
         return make_reclaim_grace_period_kernel(o);
       });
-  add("reclaim-grace-period:unpin_store rel->rlx",
+  add_site(out, "reclaim-grace-period:unpin_store rel->rlx",
       "a relaxed unpin publishes nothing: the reclaimer that sees it "
       "frees under the reader's read",
       [] {
         ReclaimOrders o;
         o.unpin_store = std::memory_order_relaxed;
         return make_reclaim_grace_period_kernel(o);
+      });
+  return out;
+}
+
+std::vector<MutationSite> mcas_read_mutation_sites() {
+  std::vector<MutationSite> out;
+  add_site(out, "mcas-resolving-read:resolve_status_load acq->rlx",
+      "a relaxed status load can see SUCCEEDED without the acquisition of "
+      "the other word: the next read returns that word's old value",
+      [] {
+        McasOrders o;
+        o.resolve_status_load = std::memory_order_relaxed;
+        return make_mcas_resolving_read_kernel(o);
+      });
+  add_site(out, "mcas-resolving-read:release_ok rel->rlx",
+      "a relaxed phase-2 release publishes a word's new value without the "
+      "acquisition of the other: the next read returns its old value",
+      [] {
+        McasOrders o;
+        o.release_ok = std::memory_order_relaxed;
+        return make_mcas_resolving_read_kernel(o);
       });
   return out;
 }

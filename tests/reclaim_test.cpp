@@ -348,43 +348,6 @@ TEST(ReclaimBound, McasArrayRoundsLeaveNothingToGrow) {
 
 #endif  // RUCO_NO_TELEMETRY
 
-// McasArray cells under Read(i) and Dcas transfers of one unit from cell a
-// to cell b, recorded with their parameters {a, b, expected_a, expected_b,
-// succeeded} in ret_vec.
-struct CellsSpec {
-  using State = std::vector<Value>;
-
-  std::size_t cells = 0;
-  Value init = 0;
-
-  [[nodiscard]] State initial() const { return State(cells, init); }
-
-  [[nodiscard]] std::optional<State> apply(const State& s,
-                                           const lincheck::OpRecord& op) const {
-    if (op.op == "Read") {
-      if (s[static_cast<std::size_t>(op.arg)] != op.ret) return std::nullopt;
-      return s;
-    }
-    if (op.op == "Dcas") {
-      const auto& r = op.ret_vec;
-      const auto a = static_cast<std::size_t>(r[0]);
-      const auto b = static_cast<std::size_t>(r[1]);
-      const bool match = s[a] == r[2] && s[b] == r[3];
-      if (match != (r[4] != 0)) return std::nullopt;
-      if (!match) return s;
-      State next = s;
-      next[a] -= 1;
-      next[b] += 1;
-      return next;
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] static std::size_t hash(const State& s) {
-    return lincheck::SnapshotSpec::hash(s);
-  }
-};
-
 TEST(ReclaimStress, McasLinearizableWhileDescriptorsAreFreed) {
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint32_t kCells = 3;
@@ -413,7 +376,7 @@ TEST(ReclaimStress, McasLinearizableWhileDescriptorsAreFreed) {
       }
     });
     const auto res = lincheck::check_linearizable(
-        recorder.harvest(), CellsSpec{kCells, 10});
+        recorder.harvest(), lincheck::CellsSpec{kCells, 10});
     ASSERT_TRUE(res.decided) << "round " << round;
     ASSERT_TRUE(res.linearizable) << "round " << round << ": " << res.message;
   }

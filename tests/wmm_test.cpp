@@ -342,6 +342,33 @@ TEST(WmmMutation, ReclaimHandshakeSitesAllHaveViolatingExecutions) {
   }
 }
 
+TEST(WmmKernels, ResolvingReadKernelIsCleanAndReadsBothSidesOfTheOp) {
+  // At the shipped orders the reader may see the operation not yet done,
+  // done, or done between its two reads -- never done and then undone.
+  const wmm::ExploreResult res =
+      wmm::check_kernel(wmm::make_mcas_resolving_read_kernel());
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res.complete);
+  EXPECT_TRUE(res.outcomes.count({0, 0}));
+  EXPECT_TRUE(res.outcomes.count({0, 1}));
+  EXPECT_TRUE(res.outcomes.count({1, 1}));
+  EXPECT_FALSE(res.outcomes.count({1, 0}));
+}
+
+TEST(WmmMutation, ResolvingReadSitesAllHaveViolatingExecutions) {
+  // The resolving read adds one load-bearing order (its status load) and
+  // leans on a second (phase 2's release CAS).
+  const auto outcomes =
+      wmm::run_mutation_driver(wmm::mcas_read_mutation_sites());
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const wmm::MutationOutcome& mo : outcomes) {
+    SCOPED_TRACE(mo.id);
+    EXPECT_TRUE(mo.found())
+        << "weakening this site should be observable: " << mo.note;
+    EXPECT_FALSE(mo.sample_dump.empty());
+  }
+}
+
 TEST(WmmKernels, ReclaimKernelSeesBothSidesOfTheRace) {
   // The shipped handshake admits executions where the reader holds the
   // old view (and the reclaimer must not free) and ones where it is freed.

@@ -564,7 +564,9 @@ int cmd_wmm(const Args& args) {
   std::cout << "\n== protocol kernels at the shipped orders ==\n";
   ruco::Table kt{
       {"kernel", "executions", "states", "violations", "complete", "verdict"}};
-  for (const auto& kernel : ruco::wmm::protocol_kernels()) {
+  std::vector<ruco::wmm::Kernel> kernels = ruco::wmm::protocol_kernels();
+  kernels.push_back(ruco::wmm::make_mcas_resolving_read_kernel());
+  for (const auto& kernel : kernels) {
     const auto res = ruco::wmm::check_kernel(kernel, max_violations);
     const bool pass = res.ok() && res.complete;
     kt.add(kernel.name, res.executions, res.states, res.violation_count,
@@ -583,9 +585,11 @@ int cmd_wmm(const Args& args) {
   ruco::Table mt{{"weakened site", "violations", "pinned", "verdict"}};
   std::vector<ruco::wmm::MutationOutcome> outcomes =
       ruco::wmm::run_mutation_driver();
-  for (auto& m :
-       ruco::wmm::run_mutation_driver(ruco::wmm::reclaim_mutation_sites())) {
-    outcomes.push_back(std::move(m));
+  for (const auto& sites : {ruco::wmm::reclaim_mutation_sites(),
+                            ruco::wmm::mcas_read_mutation_sites()}) {
+    for (auto& m : ruco::wmm::run_mutation_driver(sites)) {
+      outcomes.push_back(std::move(m));
+    }
   }
   for (const auto& m : outcomes) {
     mt.add(m.id, m.violation_count, m.pr4_regression ? "PR-4" : "",
