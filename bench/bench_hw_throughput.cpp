@@ -18,6 +18,10 @@
 //             the root path instead of short-circuiting -- the worst-case
 //             CAS-contention regime the conditional refresh and backoff are
 //             aimed at.
+// The "f-array snapshot" workload (default mode only) runs the 8-ary
+// FArraySnapshot over 64 segments owned round-robin (thread t owns t,
+// t + threads, ...): each op sets one own segment to its next value and
+// scans.
 // The "dcas transfer" workload (default mode only) moves 1..7 units
 // between two random cells of an 8-cell McasArray with a dcas: every op
 // races on a few shared words, and its rows also report MCAS helps per op
@@ -31,6 +35,7 @@
 //   --json <path>     machine-readable results, with the host's CPU count
 //                     (nproc), the build type and the compiler at the top
 //   --perfetto <path> sampled op timeline (open at ui.perfetto.dev)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -47,6 +52,7 @@
 #include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/runtime/thread_harness.h"
+#include "ruco/snapshot/farray_snapshot.h"
 #include "ruco/telemetry/registry.h"
 #include "ruco/telemetry/timeline.h"
 #include "ruco/util/rng.h"
@@ -248,6 +254,20 @@ int main(int argc, char** argv) {
           }));
     }
     if (!contended) {
+      const auto segments = std::max<std::uint32_t>(64, n);
+      ruco::snapshot::FArraySnapshot snap{segments};
+      const auto op = recorder.intern("farray_snapshot.update+scan");
+      results.push_back(run_workload(
+          "f-array snapshot", mode, tc, window_ms, rec, op,
+          [&](std::size_t t, std::uint64_t ops) {
+            const std::uint32_t owned = (segments - 1 - t) / tc + 1;
+            const auto p = static_cast<ruco::ProcId>(t + tc * (ops % owned));
+            // ops / owned + 1 rises each time the owner comes back to p.
+            snap.update(p, static_cast<ruco::Value>(ops / owned + 1));
+            (void)snap.scan(p);
+          }));
+    }
+    if (!contended) {
       constexpr std::uint32_t kCells = 8;
       ruco::kcas::McasArray cells{kCells, 1'000'000, n};
       std::vector<ruco::runtime::PaddedAtomic<std::uint64_t>> ok(tc);
@@ -342,7 +362,9 @@ int main(int argc, char** argv) {
                "conditional refresh pruning the second CAS round (near-zero "
                "failures in the default regime, root fast path absorbing "
                "duplicate maxima); the f-array counter reads in one step "
-               "with O(log N) updates; the software 2-CAS pays ~3k+1 steps "
+               "with O(log N) updates; the f-array snapshot scans in one "
+               "step and updates in 21 at N = 64 (2 levels of the 8-ary "
+               "tree); the software 2-CAS pays ~3k+1 steps "
                "per transfer plus the wait before it helps a transfer that "
                "holds its words.\n";
   return 0;

@@ -17,9 +17,11 @@
 //
 // This class owns every Value-typed tree of the library: FArrayCounter is a
 // SumFArray, and Algorithm A's TreeMaxRegister is a MaxFArray over
-// util::algorithm_a_shape.  FArraySnapshot keeps its own pointer cells
-// and shares only the propagation loop.  Downstream users reach for it
-// directly (min/max watermarks, monotone bitmask unions).
+// util::algorithm_a_shape.  FArraySnapshot is a separate 8-ary tree of
+// view pointers with its own seq_cst propagation loop
+// (ruco/snapshot/farray_snapshot.h) and shares no code with this class.
+// Downstream users reach for it directly (min/max watermarks, monotone
+// bitmask unions).
 //
 // Cell layout: the nodes are plain 8-byte atomics packed eight to a line in
 // one line-aligned allocation (runtime::DenseAtomicArray), indexed by the

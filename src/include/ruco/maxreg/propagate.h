@@ -1,29 +1,18 @@
-// The double-refresh propagation loop shared by farray::FArray (Algorithm
-// A's max register, the f-array counter) and the f-array snapshot
-// (Hendler & Khait Algorithm A lines 3-9; Jayanti's Tree Algorithm adapted
-// from LL/SC to CAS).
+// The double-refresh propagation loop of farray::FArray (Algorithm A's max
+// register, the f-array counter): Hendler & Khait Algorithm A lines 3-9,
+// Jayanti's Tree Algorithm adapted from LL/SC to CAS.  The f-array
+// snapshot runs its own 8-ary version of the loop, with seq_cst orders
+// (src/snapshot/farray_snapshot.cpp).
 //
 // At every node on the path from `start` to the root, the caller's combine
 // function is evaluated over the two children and CASed into the node.
 // Two refresh rounds suffice for linearizability of *monotone* aggregates
-// (max, sums of single-writer counters, version-ordered views): if our CAS
-// fails, a concurrent CAS succeeded, and its combine input was read after
-// our child update; if the second also fails, the interfering CAS read the
-// children after our first attempt, hence already covers our update (the
-// paper's Lemma 9 / Invariant 1 argument).  Monotonicity is what rules out
-// ABA, which is why the LL/SC -> CAS substitution is sound here.  For
-// pointer aggregates (the f-array snapshot's views) ABA is ruled out by
-// address freshness instead: every combine allocates a new view, and the
-// caller runs the whole propagation pinned (ruco/reclaim/ebr.h), so a view
-// it loaded cannot be freed -- let alone re-allocated at the same address
-// and re-installed -- before its CAS.
-//
-// Disposal.  Each CAS winner hands the value it replaced to
-// `dispose.replaced` (it is unlinked from that node for good: exactly one
-// CAS removes it), and a combine that is not installed -- the CAS lost, or
-// the no-change skip fired -- goes to `dispose.discarded`: it was never
-// published, so no other thread can hold it.  KeepValues, the default,
-// does nothing, as plain integer aggregates need.
+// (max, sums of single-writer counters): if our CAS fails, a concurrent
+// CAS succeeded, and its combine input was read after our child update; if
+// the second also fails, the interfering CAS read the children after our
+// first attempt, hence already covers our update (the paper's Lemma 9 /
+// Invariant 1 argument).  Monotonicity is what rules out ABA, which is why
+// the LL/SC -> CAS substitution is sound here.
 //
 // Conditional refresh.  The argument above makes the second round
 // *conditional* on losing the first: a won CAS installed a combine
@@ -64,19 +53,23 @@
 //     monotone value.  Cost of the acquire: free on x86/TSO, one ldar on
 //     ARM.
 //   * child loads: acquire.  They synchronize with the release CAS (or
-//     release leaf store) that published the child value; when T is a
-//     pointer (f-array snapshot views) the referent is dereferenced by the
-//     combine, so the acquire edge is what makes the published contents
-//     visible.
-//   * CAS: release on success -- publishes the combined value (and, for
-//     pointer aggregates, everything the combine wrote) to the next
-//     level's acquire node/child loads; relaxed on failure -- the
-//     reloaded expected is discarded (round 2 re-reads everything fresh).
+//     release leaf store) that published the child value.
+//   * CAS: release on success -- publishes the combined value to the next
+//     level's acquire node/child loads; relaxed on failure -- the reloaded
+//     expected is discarded (round 2 re-reads everything fresh).
+//
+// Known gap (ROADMAP): when one writer updates twice, its second refresh
+// can play the third refresher of the store-buffering execution that
+// farray_snapshot.cpp describes: it loads the node after the other
+// owner's lost CAS, still reads that owner's leaf from before its release
+// store, and its install beats the owner's second round.  Under RC11 an
+// increment goes missing (src/wmm's propagate-counter/repeat kernel).  The
+// snapshot closes this with seq_cst at four sites; this loop keeps its
+// orders, because that fix measured close to update_storm's bound.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
 
 #include "ruco/core/types.h"
 #include "ruco/runtime/memorder.h"
@@ -87,31 +80,16 @@
 
 namespace ruco::maxreg {
 
-/// The disposal of plain aggregates: nothing to free.
-struct KeepValues {
-  template <typename T>
-  void replaced(const T& /*old_value*/) const noexcept {}
-  template <typename T>
-  void discarded(const T& /*new_value*/) const noexcept {}
-};
-
 /// Propagates from the *parent* of `start` up to the root of `shape`.
-/// `values[n]` is the cell of node n, in either layout of
-/// ruco/runtime/padded.h (a std::atomic<T> or a PaddedAtomic<T>);
-/// `combine(l, r)` computes the new aggregate from the two child values.
-/// T must be trivially copyable, equality-comparable, and the sequence of
-/// values at every cell monotone under `combine` (see file comment).
-/// `dispose` receives every value a won CAS replaced and every combine that
-/// was not installed.
-template <typename Cells, typename Combine, typename Disposal = KeepValues>
-void propagate_twice(const util::TreeShape& shape, Cells& values,
-                     util::TreeShape::NodeId start, Combine&& combine,
-                     Disposal&& dispose = {}) {
+/// `values[n]` is the cell of node n; `combine(l, r)` computes the new
+/// aggregate from the two child values.  T must be equality-comparable,
+/// and the sequence of values at every cell monotone under `combine` (see
+/// file comment).
+template <typename T, typename Combine>
+void propagate_twice(const util::TreeShape& shape,
+                     runtime::DenseAtomicArray<T>& values,
+                     util::TreeShape::NodeId start, Combine&& combine) {
   using NodeId = util::TreeShape::NodeId;
-  const auto cell = [&values](NodeId n) -> auto& {
-    return runtime::atomic_of(values[n]);
-  };
-  using T = typename std::remove_reference_t<decltype(cell(0))>::value_type;
   // Batched telemetry: tally in locals, publish once per propagation so the
   // per-level loop stays free of counter traffic.
   std::uint64_t levels = 0;
@@ -129,27 +107,24 @@ void propagate_twice(const util::TreeShape& shape, Cells& values,
       runtime::step_tick();
       // Acquire, not relaxed: the skip/stop decisions below need the
       // installer's child reads to happen-before ours (see file comment).
-      T old_value = cell(n).load(runtime::mo_acquire);
+      T old_value = values[n].load(runtime::mo_acquire);
       runtime::step_tick();
-      const T lv = cell(l).load(runtime::mo_acquire);
+      const T lv = values[l].load(runtime::mo_acquire);
       runtime::step_tick();
-      const T rv = cell(r).load(runtime::mo_acquire);
+      const T rv = values[r].load(runtime::mo_acquire);
       const T new_value = combine(lv, rv);
       if (new_value == old_value) {
         // Pure-load level: the node already holds the covering aggregate.
-        dispose.discarded(new_value);
         ++skipped;
         break;
       }
       runtime::step_tick();
       ++attempts;
-      if (cell(n).compare_exchange_strong(old_value, new_value,
-                                          runtime::mo_release,
-                                          runtime::mo_relaxed)) {
-        dispose.replaced(old_value);
+      if (values[n].compare_exchange_strong(old_value, new_value,
+                                            runtime::mo_release,
+                                            runtime::mo_relaxed)) {
         break;  // won: combine read after our child update
       }
-      dispose.discarded(new_value);
       ++failures;
       if (round == 0) ++second_rounds;
     }

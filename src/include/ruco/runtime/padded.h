@@ -3,12 +3,14 @@
 // Two layouts, each with one job:
 //   * PaddedAtomic<T>: one std::atomic<T> alone on its 64-B line.  For cells
 //     that stand alone or belong to one process each -- a CAS word, a
-//     per-process sequence number, an MCAS cell, a snapshot's view
-//     pointer -- where sharing a line would only add false sharing.
+//     per-process sequence number, an MCAS cell -- where sharing a line
+//     would only add false sharing.
 //   * DenseAtomicArray<T>: std::atomic<T> cells packed back to back in one
 //     allocation that starts on a line boundary, eight 8-byte cells per
 //     line.  For the Value trees of farray::FArray (the f-array counter
-//     and Algorithm A).
+//     and Algorithm A) and the view pointers of the 8-ary f-array
+//     snapshot, whose eight siblings fill one line
+//     (ruco/snapshot/farray_snapshot.h).
 //
 // Trees are not padded, because a propagation level reads three cells:
 // the node and its two children.  Padded, those are three lines per level,
@@ -94,16 +96,5 @@ class DenseAtomicArray {
   std::unique_ptr<std::atomic<T>[], Free> cells_;
   std::size_t size_;
 };
-
-/// The atomic inside a cell of either layout, so that code generic over
-/// its cell array (maxreg::propagate_twice) accepts both.
-template <typename T>
-[[nodiscard]] std::atomic<T>& atomic_of(PaddedAtomic<T>& cell) noexcept {
-  return cell.value;
-}
-template <typename T>
-[[nodiscard]] std::atomic<T>& atomic_of(std::atomic<T>& cell) noexcept {
-  return cell;
-}
 
 }  // namespace ruco::runtime

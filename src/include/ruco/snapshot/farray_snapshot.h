@@ -13,7 +13,24 @@
 // (value, seq) pairs: one allocation, header and entries inline.  Merging
 // allocates a fresh View; views are componentwise seq-monotone, so the
 // double-CAS propagation argument of Algorithm A (Lemmas 8-9) applies
-// verbatim.
+// verbatim, and a fresh allocation per merge rules out ABA.
+//
+// Wide tree.  The f-array meets the Omega(log N) bound with any constant
+// fan-out k at about (k + 2) log_k N steps, and the snapshot uses k = 8:
+// segment i is leaf i, and node j of level L concatenates the views of
+// nodes 8j .. 8j+7 of level L - 1, so every view stays in segment order.
+// The pointers sit in one runtime::DenseAtomicArray, every level starting
+// on a line boundary: the 8 siblings a refresh reads fill one 64-B line,
+// and the root, which every scan loads, has a line to itself.  A level
+// costs about three serialized cache round trips (node and child pointers,
+// the child views, the CAS), so at N = 64 an update pays 2 levels of them
+// instead of a binary tree's 6 (21 steps instead of 25).  DESIGN.md "Wide
+// snapshot tree" has the fan-out sweep.
+//
+// Memory orders.  The leaf store, the node load, the child loads and the
+// success CAS of the propagation are seq_cst (farray_snapshot.cpp has the
+// store-buffering execution that anything weaker allows once three leaves
+// share a parent); a failed CAS is relaxed and scan's root load acquire.
 //
 // Memory is reclaimed by epochs (ruco/reclaim/ebr.h).  scan and update pin
 // for their whole duration; the CAS winner at a node retires the view it
@@ -26,18 +43,21 @@
 // number of updates.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ruco/core/types.h"
 #include "ruco/runtime/padded.h"
-#include "ruco/util/tree_shape.h"
 
 namespace ruco::snapshot {
 
 class FArraySnapshot {
  public:
+  /// Children per node: one line of view pointers.
+  static constexpr std::uint32_t kFanOut = 8;
+
   explicit FArraySnapshot(std::uint32_t num_processes);
   ~FArraySnapshot();
   FArraySnapshot(const FArraySnapshot&) = delete;
@@ -78,14 +98,25 @@ class FArraySnapshot {
     static void destroy(void* view) noexcept;
   };
   static_assert(sizeof(View) % alignof(Entry) == 0);
+  static_assert(kFanOut * sizeof(std::atomic<const View*>) ==
+                runtime::kCacheLine);
 
-  struct RetireViews;
+  // The nodes of one level: cells [offset, offset + count) of nodes_, with
+  // offset a multiple of kFanOut.  Level 0 holds the leaves, the last level
+  // the root.
+  struct Level {
+    std::uint32_t offset;
+    std::uint32_t count;
+  };
 
-  [[nodiscard]] static const View* merge(const View* l, const View* r);
+  [[nodiscard]] static const View* merge(const View* const* children,
+                                         std::uint32_t count);
+  /// Refreshes every level above leaf `proc`.
+  void propagate(std::uint32_t proc);
 
   std::uint32_t n_;
-  util::TreeShape shape_;
-  std::vector<runtime::PaddedAtomic<const View*>> nodes_;
+  std::vector<Level> levels_;
+  runtime::DenseAtomicArray<const View*> nodes_;
   std::vector<runtime::PaddedAtomic<std::uint64_t>> seq_;  // per-writer
 };
 

@@ -18,9 +18,10 @@ struct ProdMetrics {
   // maxreg: CAS-loop behavior of the max register family.
   Counter maxreg_cas_attempts;   // CAS issued by CasMaxRegister::write_max
   Counter maxreg_cas_failures;   // ... that lost the race
-  Counter propagate_cas_attempts;  // CASes actually issued by propagate_twice
+  // propagate_*: propagate_twice and the f-array snapshot's wide loop.
+  Counter propagate_cas_attempts;  // CASes actually issued
   Counter propagate_cas_failures;
-  Counter propagate_levels;        // tree levels walked by propagate_twice
+  Counter propagate_levels;        // tree levels walked
   Counter propagate_second_rounds;  // levels whose first refresh lost its CAS
   Counter propagate_cas_skips;      // pure-load levels (combine == node value)
   Histogram tree_descent_depth;    // B1-tree leaf depth per write_max

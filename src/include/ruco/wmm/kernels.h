@@ -14,12 +14,12 @@
 //       nondecreasing) -- the PR-4 node-load bug class.
 //
 //   propagate-snapshot
-//       The same propagation with a non-atomic payload published before
-//       the leaf store (the f-array snapshot / pointer-carrying
-//       aggregate shape).  Invariant: every payload read is race-free
-//       and sees the published value -- this is the kernel that makes
-//       the *child* acquire load load-bearing (for the pure counter it
-//       is not; see wmm_test's minimality tests).
+//       The f-array snapshot's propagation (seq_cst at the leaf store,
+//       node load, child loads and success CAS; every merge is CASed, as
+//       fresh views never equal the node) with a non-atomic payload
+//       published before the leaf store and dereferenced behind the
+//       child load.  Invariant: every payload read is race-free and sees
+//       the published value.
 //
 //   root-read
 //       TreeMaxRegister's read fast path: an acquire root load
@@ -54,11 +54,27 @@
 //       The epoch-reclamation handshake from ruco/reclaim/ebr.h: a reader
 //       pins (slot store, seq_cst fence), loads the root with acquire and
 //       reads the view behind it, then unpins; a reclaimer unlinks the
-//       view with a release CAS, issues its seq_cst fence and frees the
+//       view with the snapshot's seq_cst CAS, issues its seq_cst fence and
+//       frees the
 //       view (a plain write) only if it finds the slot unpinned.  The
 //       epoch counter between the two sides is abstracted away: one slot
 //       check stands for the grace period.  Invariant: the free never
 //       races the read.
+//
+// Two more kernels check the snapshot's seq_cst sites against the
+// store-buffering execution that acquire/release allows (they are not part
+// of protocol_kernels()):
+//
+//   propagate-wide
+//       One node over three leaves, one increment per leaf, the
+//       snapshot's loop (conditional double refresh, no skip).
+//       Invariants: no lost increment (final node == 3), monotone node.
+//
+//   propagate-counter/repeat
+//       propagate_twice on a 2-leaf tree where one writer increments
+//       twice and the other once.  Invariants: final node == 3, monotone
+//       node.  At the binary f-array's release/acquire orders it loses an
+//       increment: the known gap of farray::FArray (ROADMAP).
 //
 // mutation_sites() weakens each load-bearing mo_* use-site one at a
 // time; run_mutation_driver() asserts the explorer exhibits a concrete
@@ -90,6 +106,12 @@ struct PropagateOrders {
   std::memory_order root_read = runtime::mo_acquire;
 };
 
+/// The f-array snapshot's orders (src/snapshot/farray_snapshot.cpp):
+/// seq_cst at the leaf store, the node load, the child loads and the
+/// success CAS, relaxed on CAS failure.  Literal, not mo_*: they are
+/// already the strongest, so every build checks the same protocol.
+PropagateOrders wide_orders();
+
 /// Per-site orders of the MCAS descriptor-publication pattern,
 /// mirroring src/kcas/mcas.cpp.
 struct McasOrders {
@@ -105,17 +127,18 @@ struct McasOrders {
 
 /// Per-site orders of the reclamation handshake, mirroring
 /// ruco/reclaim/ebr.h (pin, seal, advance) and the f-array snapshot's
-/// root load and propagate CAS.  All literal: ebr.h does not route its
-/// orders through memorder.h, and the root load and CAS are checked at
-/// their hand-tuned orders even when RUCO_SEQCST_ATOMICS strengthens them
-/// in production (which can only remove executions), so every build
-/// checks -- and mutates -- the same handshake.
+/// scan root load and propagate CAS.  All literal: ebr.h does not route
+/// its orders through memorder.h, the CAS is seq_cst in every build, and
+/// the root load is checked at its hand-tuned order even when
+/// RUCO_SEQCST_ATOMICS strengthens it in production (which can only
+/// remove executions), so every build checks -- and mutates -- the same
+/// handshake.
 struct ReclaimOrders {
   std::memory_order pin_store = std::memory_order_release;
   std::memory_order pin_fence = std::memory_order_seq_cst;
   std::memory_order root_load = std::memory_order_acquire;
   std::memory_order unpin_store = std::memory_order_release;
-  std::memory_order unlink_cas = std::memory_order_release;
+  std::memory_order unlink_cas = std::memory_order_seq_cst;
   std::memory_order reclaim_fence = std::memory_order_seq_cst;
   std::memory_order slot_load = std::memory_order_acquire;
 };
@@ -129,7 +152,12 @@ struct Kernel {
 
 Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
                                      const PropagateOrders& o = {});
-Kernel make_propagate_snapshot_kernel(const PropagateOrders& o = {});
+Kernel make_propagate_snapshot_kernel(
+    const PropagateOrders& o = wide_orders());
+Kernel make_propagate_wide_kernel(const PropagateOrders& o = wide_orders());
+/// No default: the binary f-array's orders lose an increment here, the
+/// snapshot's do not.
+Kernel make_propagate_repeat_kernel(const PropagateOrders& o);
 Kernel make_root_read_kernel(const PropagateOrders& o = {});
 Kernel make_leaf_handoff_kernel(const PropagateOrders& o = {});
 Kernel make_mcas_publication_kernel(const McasOrders& o = {});
@@ -161,6 +189,12 @@ std::vector<MutationSite> reclaim_mutation_sites();
 /// The resolving read's sites (mcas-resolving-read kernel), kept out of
 /// mutation_sites() for the same reason; rucosim wmm and wmm_test run them.
 std::vector<MutationSite> mcas_read_mutation_sites();
+
+/// The snapshot's four seq_cst sites, each weakened alone to the
+/// acquire/release order it had in the binary loop, in propagate-wide and
+/// propagate-counter/repeat.  Kept out of mutation_sites() for the same
+/// reason; rucosim wmm and wmm_test run them.
+std::vector<MutationSite> wide_mutation_sites();
 
 struct MutationOutcome {
   std::string id;

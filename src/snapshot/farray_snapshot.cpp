@@ -1,16 +1,39 @@
 #include "ruco/snapshot/farray_snapshot.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <new>
 #include <stdexcept>
 
-#include "ruco/maxreg/propagate.h"
 #include "ruco/reclaim/ebr.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/runtime/stepcount.h"
+#include "ruco/telemetry/metrics.h"
 
 namespace ruco::snapshot {
+
+// Memory orders of update().  A refresh of node X that loses its CAS twice
+// relies on the winner of the second round having read the children after
+// our leaf store.  Once three or more leaf owners share X, acquire/release
+// does not give that: owner A's release leaf store can still sit in A's
+// store buffer while A loads X, reads its children, and loses its CAS to a
+// refresher B; a third refresher C can then load X after B's install (so
+// after A's first-round load) and still read A's leaf before the store,
+// and C's install beats A's second round.  X ends without A's update,
+// although A returned.  Making the leaf store, the node load, the child
+// loads and the success CAS seq_cst puts all four in one total order, in
+// which C's child loads follow A's store.  Under RC11 (src/wmm's
+// propagate-wide kernel) weakening any one of the four alone loses an
+// update; so does, in a one-off variant of that kernel, a seq_cst fence
+// after a release leaf store with the other sites acquire/release.  On x86
+// only the leaf store changes instruction (to xchg); AArch64's LDAR/STLR
+// are already sequentially consistent.  A failed CAS's reload is never
+// used, so it stays relaxed.
+namespace {
+constexpr std::memory_order kSc = std::memory_order_seq_cst;
+}  // namespace
 
 std::size_t FArraySnapshot::View::bytes(std::size_t size) noexcept {
   return sizeof(View) + size * sizeof(Entry);
@@ -28,60 +51,70 @@ void FArraySnapshot::View::destroy(void* view) noexcept {
 
 FArraySnapshot::FArraySnapshot(std::uint32_t num_processes)
     : n_{num_processes},
-      shape_{util::complete_shape(num_processes)},
+      levels_{[num_processes] {
+        if (num_processes == 0) {
+          throw std::invalid_argument{"FArraySnapshot: 0 processes"};
+        }
+        // Each level starts on a line; every line of a level gets one
+        // parent.
+        std::vector<Level> levels;
+        std::uint32_t offset = 0;
+        for (std::uint32_t count = num_processes;;) {
+          levels.push_back(Level{offset, count});
+          if (count == 1) return levels;
+          const std::uint32_t lines = (count + kFanOut - 1) / kFanOut;
+          offset += lines * kFanOut;
+          count = lines;
+        }
+      }()},
+      nodes_{levels_.back().offset + kFanOut, nullptr},
       seq_(num_processes, runtime::PaddedAtomic<std::uint64_t>{0}) {
-  if (num_processes == 0) {
-    throw std::invalid_argument{"FArraySnapshot: 0 processes"};
+  // Build the initial views bottom-up (single-threaded setup).
+  for (std::uint32_t i = 0; i < n_; ++i) {
+    View* leaf = View::make(1);
+    leaf->entries()[0] = Entry{0, 0};
+    nodes_[i].store(leaf, std::memory_order_relaxed);
   }
-  // Build the initial per-node views bottom-up (single-threaded setup).
-  // Nodes were appended children-before-parents by the shape builder, so a
-  // forward pass sees children already built.
-  nodes_.assign(shape_.node_count(),
-                runtime::PaddedAtomic<const View*>{nullptr});
-  for (util::TreeShape::NodeId id = 0; id < shape_.node_count(); ++id) {
-    const View* view = nullptr;
-    if (shape_.is_leaf(id)) {
-      View* leaf = View::make(1);
-      leaf->entries()[0] = Entry{0, 0};
-      view = leaf;
-    } else {
-      const auto child = [this](util::TreeShape::NodeId c) {
-        return nodes_[c].value.load(std::memory_order_relaxed);
-      };
-      view = merge(child(shape_.left(id)), child(shape_.right(id)));
+  std::array<const View*, kFanOut> children{};
+  for (std::size_t l = 1; l < levels_.size(); ++l) {
+    const Level& below = levels_[l - 1];
+    for (std::uint32_t j = 0; j < levels_[l].count; ++j) {
+      const std::uint32_t first = j * kFanOut;
+      const std::uint32_t count = std::min(kFanOut, below.count - first);
+      for (std::uint32_t c = 0; c < count; ++c) {
+        children[c] =
+            nodes_[below.offset + first + c].load(std::memory_order_relaxed);
+      }
+      nodes_[levels_[l].offset + j].store(merge(children.data(), count),
+                                          std::memory_order_relaxed);
     }
-    nodes_[id].value.store(view, std::memory_order_relaxed);
   }
 }
 
 FArraySnapshot::~FArraySnapshot() {
   // Retired views are owned by the reclamation domain; the current ones
   // are still ours.
-  for (auto& node : nodes_) {
-    View::destroy(
-        const_cast<View*>(node.value.load(std::memory_order_relaxed)));
+  for (const Level& level : levels_) {
+    for (std::uint32_t i = 0; i < level.count; ++i) {
+      View::destroy(const_cast<View*>(
+          nodes_[level.offset + i].load(std::memory_order_relaxed)));
+    }
   }
 }
 
-const FArraySnapshot::View* FArraySnapshot::merge(const View* l,
-                                                  const View* r) {
-  View* merged = View::make(l->size + r->size);
-  std::memcpy(merged->entries(), l->entries(), l->size * sizeof(Entry));
-  std::memcpy(merged->entries() + l->size, r->entries(),
-              r->size * sizeof(Entry));
+const FArraySnapshot::View* FArraySnapshot::merge(const View* const* children,
+                                                  std::uint32_t count) {
+  std::size_t size = 0;
+  for (std::uint32_t c = 0; c < count; ++c) size += children[c]->size;
+  View* merged = View::make(size);
+  Entry* out = merged->entries();
+  for (std::uint32_t c = 0; c < count; ++c) {
+    std::memcpy(out, children[c]->entries(),
+                children[c]->size * sizeof(Entry));
+    out += children[c]->size;
+  }
   return merged;
 }
-
-// propagate_twice's disposal for views: a replaced view may still be read
-// by pinned threads, a merged view that was not installed was never seen.
-struct FArraySnapshot::RetireViews {
-  void replaced(const View* view) const {
-    reclaim::retire(const_cast<View*>(view), &View::destroy);
-  }
-  void discarded(const View* view) const noexcept {
-    View::destroy(const_cast<View*>(view));
-  }
-};
 
 void FArraySnapshot::update(ProcId proc, Value v) {
   assert(proc < n_);
@@ -92,17 +125,61 @@ void FArraySnapshot::update(ProcId proc, Value v) {
   seq_[proc].value.store(s, std::memory_order_relaxed);
   View* leaf_view = View::make(1);
   leaf_view->entries()[0] = Entry{v, s};
-  const auto leaf = shape_.leaf(proc);
   // Only the owner writes its leaf, so this is local knowledge, not a step.
-  const View* old_leaf = nodes_[leaf].value.load(std::memory_order_relaxed);
+  const View* old_leaf = nodes_[proc].load(std::memory_order_relaxed);
   runtime::step_tick();
-  // Release publishes the freshly built View behind leaf_view; every reader
-  // of this cell (propagate_twice's acquire child loads, scan's acquire
-  // root load) dereferences it.
-  nodes_[leaf].value.store(leaf_view, runtime::mo_release);
+  // seq_cst (file comment); as a release it also publishes the new View to
+  // every refresher's child load and to scan when N = 1.
+  nodes_[proc].store(leaf_view, kSc);
   reclaim::retire(const_cast<View*>(old_leaf), &View::destroy);
-  maxreg::propagate_twice(shape_, nodes_, leaf, &FArraySnapshot::merge,
-                          RetireViews{});
+  propagate(proc);
+}
+
+// Algorithm A's conditional double refresh (maxreg/propagate.h), one level
+// per kFanOut-ary node.  A won CAS installed a merge of child loads made
+// after our leaf store, so it covers us; a lost first round gets one more.
+// There is no no-change skip: every merge is a fresh allocation, so it
+// never equals the node's pointer.
+void FArraySnapshot::propagate(std::uint32_t proc) {
+  std::array<const View*, kFanOut> children{};
+  std::uint64_t attempts = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t second_rounds = 0;
+  std::uint32_t index = proc;
+  for (std::size_t l = 1; l < levels_.size(); ++l) {
+    const Level& below = levels_[l - 1];
+    index /= kFanOut;
+    const std::uint32_t first = index * kFanOut;
+    const std::uint32_t count = std::min(kFanOut, below.count - first);
+    std::atomic<const View*>& node = nodes_[levels_[l].offset + index];
+    for (int round = 0; round < 2; ++round) {
+      runtime::step_tick();
+      const View* old_view = node.load(kSc);
+      for (std::uint32_t c = 0; c < count; ++c) {
+        runtime::step_tick();
+        children[c] = nodes_[below.offset + first + c].load(kSc);
+      }
+      const View* merged = merge(children.data(), count);
+      runtime::step_tick();
+      ++attempts;
+      if (node.compare_exchange_strong(old_view, merged, kSc,
+                                       std::memory_order_relaxed)) {
+        // Unlinked from this node for good: exactly one CAS removes it.
+        reclaim::retire(const_cast<View*>(old_view), &View::destroy);
+        break;
+      }
+      View::destroy(const_cast<View*>(merged));  // never published
+      ++failures;
+      if (round == 0) ++second_rounds;
+    }
+  }
+  if (levels_.size() > 1) {
+    const telemetry::ProdMetrics& tm = telemetry::prod();
+    tm.propagate_levels.add(levels_.size() - 1);
+    tm.propagate_cas_attempts.add(attempts);
+    if (failures != 0) tm.propagate_cas_failures.add(failures);
+    if (second_rounds != 0) tm.propagate_second_rounds.add(second_rounds);
+  }
 }
 
 std::vector<Value> FArraySnapshot::scan(ProcId /*proc*/) const {
@@ -110,7 +187,8 @@ std::vector<Value> FArraySnapshot::scan(ProcId /*proc*/) const {
   values.reserve(n_);  // allocate before pinning
   const reclaim::Guard pin;
   runtime::step_tick();
-  const View* root = nodes_[shape_.root()].value.load(runtime::mo_acquire);
+  const View* root =
+      nodes_[levels_.back().offset].load(runtime::mo_acquire);
   for (std::size_t i = 0; i < root->size; ++i) {
     values.push_back(root->entries()[i].value);
   }
@@ -123,7 +201,8 @@ std::vector<std::pair<Value, std::uint64_t>> FArraySnapshot::scan_versions(
   out.reserve(n_);
   const reclaim::Guard pin;
   runtime::step_tick();
-  const View* root = nodes_[shape_.root()].value.load(runtime::mo_acquire);
+  const View* root =
+      nodes_[levels_.back().offset].load(runtime::mo_acquire);
   for (std::size_t i = 0; i < root->size; ++i) {
     out.emplace_back(root->entries()[i].value, root->entries()[i].seq);
   }

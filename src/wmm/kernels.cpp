@@ -97,19 +97,30 @@ Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
   return k;
 }
 
+PropagateOrders wide_orders() {
+  PropagateOrders o;
+  o.leaf_store = std::memory_order_seq_cst;
+  o.node_load = std::memory_order_seq_cst;
+  o.child_load = std::memory_order_seq_cst;
+  o.cas_ok = std::memory_order_seq_cst;
+  o.cas_fail = std::memory_order_relaxed;
+  return o;
+}
+
 Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
   Kernel k;
   k.name = "propagate-snapshot";
   k.description =
-      "propagation over pointer-carrying leaves: payload published "
-      "before the leaf store, dereferenced behind the child load";
+      "the f-array snapshot's propagation over pointer-carrying leaves: "
+      "payload published before the leaf store, dereferenced behind the "
+      "child load";
   auto node = k.program.atomic<Value>("node", 0);  // loc 0
   auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
   auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
   auto p0 = k.program.plain<Value>("p0", 0);       // loc 3
   auto p1 = k.program.plain<Value>("p1", 0);       // loc 4
   // Single refresh round: the publication property under test does not
-  // need the double-refresh (that coverage is the counter kernel's).
+  // need the double-refresh (that coverage is propagate-wide's).
   auto writer = [=](Plain<Value> pay, Atomic<Value> leaf) {
     return [=] {
       pay.store(1);               // the "snapshot view" behind the leaf
@@ -119,10 +130,8 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
       const Value rv = l1.load(o.child_load);
       if (lv == 1) observe(p0.load());  // dereference published views
       if (rv == 1) observe(p1.load());
-      const Value nv = lv + rv;
-      if (nv != old_v) {
-        node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail);
-      }
+      // A merged view is a fresh pointer, so it is always CASed.
+      node.compare_exchange_strong(old_v, lv + rv, o.cas_ok, o.cas_fail);
     };
   };
   k.program.thread(writer(p0, l0));
@@ -130,6 +139,90 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
   k.invariant = [](const Graph& g) -> std::string {
     if (auto msg = check_plain_reads(g, 3, 1); !msg.empty()) return msg;
     return check_plain_reads(g, 4, 1);
+  };
+  return k;
+}
+
+Kernel make_propagate_wide_kernel(const PropagateOrders& o) {
+  Kernel k;
+  k.name = "propagate-wide";
+  k.description =
+      "the f-array snapshot's wide propagation: one node over three "
+      "leaves, one increment per leaf";
+  auto node = k.program.atomic<Value>("node", 0);  // loc 0
+  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
+  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
+  auto l2 = k.program.atomic<Value>("l2", 0);      // loc 3
+  // FArraySnapshot::propagate with combine = sum: no no-change skip (a
+  // merged view never equals the node's pointer), stop on a won CAS.
+  auto writer = [=](Atomic<Value> leaf) {
+    return [=] {
+      leaf.store(1, o.leaf_store);
+      for (int round = 0; round < 2; ++round) {
+        Value old_v = node.load(o.node_load);
+        const Value a = l0.load(o.child_load);
+        const Value b = l1.load(o.child_load);
+        const Value c = l2.load(o.child_load);
+        if (node.compare_exchange_strong(old_v, a + b + c, o.cas_ok,
+                                         o.cas_fail)) {
+          break;
+        }
+      }
+    };
+  };
+  k.program.thread(writer(l0));
+  k.program.thread(writer(l1));
+  k.program.thread(writer(l2));
+  k.invariant = [](const Graph& g) -> std::string {
+    if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
+    if (g.final_value(0) != 3) {
+      return "lost update: final node value " +
+             std::to_string(g.final_value(0)) + ", expected 3";
+    }
+    return "";
+  };
+  return k;
+}
+
+Kernel make_propagate_repeat_kernel(const PropagateOrders& o) {
+  Kernel k;
+  k.name = "propagate-counter/repeat";
+  k.description =
+      "propagate_twice on a 2-leaf tree: one writer increments twice, the "
+      "other once";
+  auto node = k.program.atomic<Value>("node", 0);  // loc 0
+  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
+  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
+  // The conditional loop of ruco/maxreg/propagate.h, combine = sum.
+  auto propagate = [=] {
+    for (int round = 0; round < 2; ++round) {
+      Value old_v = node.load(o.node_load);
+      const Value lv = l0.load(o.child_load);
+      const Value rv = l1.load(o.child_load);
+      const Value nv = lv + rv;
+      if (nv == old_v) break;  // no-change skip
+      if (node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail)) {
+        break;
+      }
+    }
+  };
+  k.program.thread([=] {
+    for (Value v = 1; v <= 2; ++v) {
+      l0.store(v, o.leaf_store);
+      propagate();
+    }
+  });
+  k.program.thread([=] {
+    l1.store(1, o.leaf_store);
+    propagate();
+  });
+  k.invariant = [](const Graph& g) -> std::string {
+    if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
+    if (g.final_value(0) != 3) {
+      return "lost increment: final node value " +
+             std::to_string(g.final_value(0)) + ", expected 3";
+    }
+    return "";
   };
   return k;
 }
@@ -406,19 +499,19 @@ std::vector<MutationSite> mutation_sites() {
         });
   }
 
-  add("propagate-snapshot:child_load acq->rlx",
+  add("propagate-snapshot:child_load sc->rlx",
       "a relaxed child load sees the leaf but not the payload written "
       "before it: torn snapshot view (data race)",
       /*pr4=*/false, [] {
-        PropagateOrders o;
+        PropagateOrders o = wide_orders();
         o.child_load = std::memory_order_relaxed;
         return make_propagate_snapshot_kernel(o);
       });
-  add("propagate-snapshot:leaf_store rel->rlx",
+  add("propagate-snapshot:leaf_store sc->rlx",
       "a relaxed leaf store publishes nothing: the sibling dereferences "
       "an unpublished payload (data race)",
       /*pr4=*/false, [] {
-        PropagateOrders o;
+        PropagateOrders o = wide_orders();
         o.leaf_store = std::memory_order_relaxed;
         return make_propagate_snapshot_kernel(o);
       });
@@ -547,6 +640,49 @@ std::vector<MutationSite> mcas_read_mutation_sites() {
         o.release_ok = std::memory_order_relaxed;
         return make_mcas_resolving_read_kernel(o);
       });
+  return out;
+}
+
+std::vector<MutationSite> wide_mutation_sites() {
+  struct Weakening {
+    const char* site;
+    const char* note;
+    std::memory_order PropagateOrders::*field;
+    std::memory_order weaker;
+  };
+  static constexpr Weakening kWeakenings[] = {
+      {"leaf_store sc->rel",
+       "a release leaf store can wait in the store buffer while its owner "
+       "refreshes: a third refresher installs a view without it after the "
+       "owner's CAS lost",
+       &PropagateOrders::leaf_store, std::memory_order_release},
+      {"node_load sc->acq",
+       "an acquire node load leaves the SC order: the owner's load can pass "
+       "its own leaf store, and the refresh that beats it reads the leaf "
+       "before the store",
+       &PropagateOrders::node_load, std::memory_order_acquire},
+      {"child_load sc->acq",
+       "acquire child loads leave the SC order: a refresher that loaded "
+       "the node after the owner's lost CAS can still read the owner's "
+       "leaf before its store",
+       &PropagateOrders::child_load, std::memory_order_acquire},
+      {"cas_ok sc->rel",
+       "a release CAS leaves the SC order: the node value a refresher loads "
+       "no longer orders its child loads after the owner's leaf store",
+       &PropagateOrders::cas_ok, std::memory_order_release},
+  };
+  std::vector<MutationSite> out;
+  for (const Weakening& w : kWeakenings) {
+    const auto weakened = [w] {
+      PropagateOrders o = wide_orders();
+      o.*w.field = w.weaker;
+      return o;
+    };
+    add_site(out, std::string{"propagate-wide:"} + w.site, w.note,
+             [weakened] { return make_propagate_wide_kernel(weakened()); });
+    add_site(out, std::string{"propagate-counter/repeat:"} + w.site, w.note,
+             [weakened] { return make_propagate_repeat_kernel(weakened()); });
+  }
   return out;
 }
 

@@ -96,8 +96,16 @@ TEST(GoldenSteps, Counters) {
 
 TEST(GoldenSteps, Snapshots) {
   {
-    snapshot::FArraySnapshot s{32};  // 5 levels x 4 (conditional) + leaf write
-    EXPECT_EQ(steps([&] { s.update(7, 3); }), 21u);
+    // 8-ary tree: 32 leaves -> 4 nodes -> root.  Leaf write 1, then per
+    // level the node load, one load per child and the CAS: leaf 7's parent
+    // has 8 children (10 steps), the root 4 (6 steps).
+    snapshot::FArraySnapshot s{32};
+    EXPECT_EQ(steps([&] { s.update(7, 3); }), 1u + 10u + 6u);
+    EXPECT_EQ(steps([&] { (void)s.scan(0); }), 1u);
+  }
+  {
+    snapshot::FArraySnapshot s{64};  // 64 -> 8 -> root: 1 + 10 + 10
+    EXPECT_EQ(steps([&] { s.update(40, 3); }), 21u);
     EXPECT_EQ(steps([&] { (void)s.scan(0); }), 1u);
   }
   {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ruco/lincheck/checker.h"
@@ -253,6 +254,72 @@ TEST(SnapshotStress, ScannersAgreeOnOrder) {
     for (std::size_t j = i + 1; j < all.size(); j += 11) {
       EXPECT_TRUE(leq(all[i], all[j]) || leq(all[j], all[i]))
           << "incomparable views " << i << "," << j;
+    }
+  }
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kTsan = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kTsan = true;
+#else
+constexpr bool kTsan = false;
+#endif
+#else
+constexpr bool kTsan = false;
+#endif
+
+TEST(SnapshotStress, WideTreeKeepsOwnSegmentsAndMonotoneScans) {
+  // Four threads own the 64 segments interleaved (thread t owns t, t + 4,
+  // ...), so every level-1 node of the 8-ary tree has two leaf owners per
+  // thread and all four threads refresh it.  Each update sets a segment to
+  // its owner's next sequence number; 70% of the ops are scans, checked
+  // like the benchmark's oracle: the owner's segments equal its last
+  // updates, and no segment goes back between one thread's scans.  With
+  // the propagation's seq_cst sites weakened to a release leaf store and
+  // acquire loads, 23 of 26 runs of 40 or 80 such rounds of 200k ops
+  // failed on a 4-vCPU x86 host, at a median round of 16 (about 4% of
+  // rounds); 120 rounds miss it about 1% of the time.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kSegments = 64;
+  constexpr int kRounds = kTsan ? 4 : 120;
+  constexpr int kOpsPerThread = kTsan ? 10'000 : 50'000;
+  for (int round = 0; round < kRounds; ++round) {
+    FArraySnapshot snap{kSegments};
+    std::vector<std::string> errors(kThreads);
+    runtime::run_threads(kThreads, [&](std::size_t t) {
+      util::SplitMix64 rng{0x5eed + 977 * static_cast<std::uint64_t>(round) +
+                           t};
+      std::vector<Value> written(kSegments, 0);  // own segments only
+      std::vector<Value> last(kSegments, 0);
+      std::string& error = errors[t];
+      for (int i = 0; i < kOpsPerThread && error.empty(); ++i) {
+        if (!rng.chance(7, 10)) {
+          const auto p = static_cast<ProcId>(
+              t + kThreads * rng.below(kSegments / kThreads));
+          snap.update(p, ++written[p]);
+          continue;
+        }
+        const std::vector<Value> view = snap.scan(static_cast<ProcId>(t));
+        for (std::uint32_t s = 0; s < kSegments; ++s) {
+          if (s % kThreads == t && view[s] != written[s]) {
+            error = "op " + std::to_string(i) + ": own segment " +
+                    std::to_string(s) + " reads " + std::to_string(view[s]) +
+                    ", last update wrote " + std::to_string(written[s]);
+          } else if (view[s] < last[s]) {
+            error = "op " + std::to_string(i) + ": segment " +
+                    std::to_string(s) + " went back from " +
+                    std::to_string(last[s]) + " to " +
+                    std::to_string(view[s]);
+          }
+          last[s] = view[s];
+        }
+      }
+    });
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      ASSERT_TRUE(errors[t].empty())
+          << "round " << round << ", thread " << t << ": " << errors[t];
     }
   }
 }

@@ -369,6 +369,69 @@ TEST(WmmMutation, ResolvingReadSitesAllHaveViolatingExecutions) {
   }
 }
 
+TEST(WmmKernels, WideKernelsAreCleanAtTheSnapshotOrders) {
+  // The snapshot's four seq_cst sites: no lost update with three leaves
+  // under one node, nor with one writer updating twice.
+  for (const wmm::Kernel& kernel :
+       {wmm::make_propagate_wide_kernel(),
+        wmm::make_propagate_repeat_kernel(wmm::wide_orders())}) {
+    SCOPED_TRACE(kernel.name);
+    const wmm::ExploreResult res = wmm::check_kernel(kernel);
+    EXPECT_TRUE(res.complete);
+    EXPECT_GT(res.executions, 1u);
+    EXPECT_TRUE(res.ok()) << (res.violations.empty()
+                                  ? std::string{}
+                                  : res.violations.front().dump);
+  }
+}
+
+TEST(WmmMutation, WideSitesAllHaveViolatingExecutions) {
+  // Each seq_cst site weakened alone to its binary-loop order loses an
+  // update in both kernels: the store-buffering execution of
+  // farray_snapshot.cpp.
+  const auto outcomes = wmm::run_mutation_driver(wmm::wide_mutation_sites());
+  ASSERT_EQ(outcomes.size(), 8u);
+  for (const wmm::MutationOutcome& mo : outcomes) {
+    SCOPED_TRACE(mo.id);
+    EXPECT_TRUE(mo.found())
+        << "weakening this site should be observable: " << mo.note;
+    EXPECT_EQ(mo.sample_kind, "invariant");
+    EXPECT_FALSE(mo.sample_dump.empty());
+  }
+}
+
+TEST(WmmKernels, BinaryFArrayOrdersLoseARepeatedIncrement) {
+  // The known gap of farray::FArray (ROADMAP): propagate_twice's release
+  // leaf store and acquire loads let a writer that increments twice lose
+  // an increment under RC11; the snapshot's seq_cst sites do not.
+  wmm::PropagateOrders shipped;  // the default build's constants, literally
+  shipped.leaf_store = std::memory_order_release;
+  shipped.node_load = std::memory_order_acquire;
+  shipped.child_load = std::memory_order_acquire;
+  shipped.cas_ok = std::memory_order_release;
+  const wmm::ExploreResult weak =
+      wmm::check_kernel(wmm::make_propagate_repeat_kernel(shipped), 1);
+  ASSERT_FALSE(weak.ok());
+  EXPECT_EQ(weak.violations.front().kind, "invariant");
+  EXPECT_NE(weak.violations.front().message.find("final node value 2"),
+            std::string::npos)
+      << weak.violations.front().message;
+
+  const wmm::ExploreResult as_built =
+      wmm::check_kernel(wmm::make_propagate_repeat_kernel({}), 1);
+#if defined(RUCO_SEQCST_ATOMICS)
+  EXPECT_TRUE(as_built.ok()) << "the collapsed constants close the gap";
+#else
+  EXPECT_FALSE(as_built.ok()) << "PropagateOrders{} is the release/acquire "
+                                 "build; the gap is expected to show";
+#endif
+
+  const wmm::ExploreResult sc =
+      wmm::check_kernel(wmm::make_propagate_repeat_kernel(wmm::wide_orders()));
+  EXPECT_TRUE(sc.complete);
+  EXPECT_TRUE(sc.ok());
+}
+
 TEST(WmmKernels, ReclaimKernelSeesBothSidesOfTheRace) {
   // The shipped handshake admits executions where the reader holds the
   // old view (and the reclaimer must not free) and ones where it is freed.
@@ -403,9 +466,9 @@ TEST(WmmMutation, OrderTableIsMinimalWhereItClaimsToBe)
 {
   // The sites DESIGN.md deliberately does *not* strengthen stay clean
   // when relaxed: the child loads of the pure-counter propagation (the
-  // integer payload needs only coherence; the acquire is for
-  // pointer-carrying aggregates, covered by propagate-snapshot) and the
-  // CAS failure order.
+  // integer payload needs only coherence; the acquire is for data
+  // published behind a leaf, covered by leaf-handoff) and the CAS failure
+  // order.
   for (const RefreshPolicy policy :
        {RefreshPolicy::kConditional, RefreshPolicy::kAlwaysTwice}) {
     wmm::PropagateOrders o;

@@ -566,6 +566,9 @@ int cmd_wmm(const Args& args) {
       {"kernel", "executions", "states", "violations", "complete", "verdict"}};
   std::vector<ruco::wmm::Kernel> kernels = ruco::wmm::protocol_kernels();
   kernels.push_back(ruco::wmm::make_mcas_resolving_read_kernel());
+  kernels.push_back(ruco::wmm::make_propagate_wide_kernel());
+  kernels.push_back(
+      ruco::wmm::make_propagate_repeat_kernel(ruco::wmm::wide_orders()));
   for (const auto& kernel : kernels) {
     const auto res = ruco::wmm::check_kernel(kernel, max_violations);
     const bool pass = res.ok() && res.complete;
@@ -586,7 +589,8 @@ int cmd_wmm(const Args& args) {
   std::vector<ruco::wmm::MutationOutcome> outcomes =
       ruco::wmm::run_mutation_driver();
   for (const auto& sites : {ruco::wmm::reclaim_mutation_sites(),
-                            ruco::wmm::mcas_read_mutation_sites()}) {
+                            ruco::wmm::mcas_read_mutation_sites(),
+                            ruco::wmm::wide_mutation_sites()}) {
     for (auto& m : ruco::wmm::run_mutation_driver(sites)) {
       outcomes.push_back(std::move(m));
     }
