@@ -117,8 +117,9 @@ int main() {
       << "\nShape check: every in-model counter sits on or above the "
          "frontier; fetch_add sits below it, which is exactly what "
          "read/write/CAS implementations cannot do (Theorem 1).  The "
-         "f-array hugs the frontier (read 1, update ~4 log2 N with the "
-         "conditional refresh); the AAC "
+         "f-array hugs the frontier (read 1, update ~10 log8 N on its "
+         "8-ary tree: a node load, 8 child loads and a CAS per level); "
+         "the AAC "
          "counter trades a log-factor on updates for staying read/write "
          "only.\n";
   return 0;

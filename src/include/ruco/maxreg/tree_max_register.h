@@ -8,10 +8,11 @@
 // small operands v < N; the right subtree TR is a complete binary tree whose
 // i-th leaf (depth O(log N)) receives process i's writes of large operands
 // v >= N.  A write stores its operand at the chosen leaf and propagates the
-// max up to the root with the double-CAS loop.  The tree is a
-// farray::MaxFArray over util::algorithm_a_shape: slot v < N is value leaf
-// v and slot N + i is process i's leaf (util::algorithm_a_leaf); this
-// class adds the root fast path and the duplicate check.
+// max up to the root with the double-CAS loop (maxreg::propagate_twice).
+// The nodes of util::algorithm_a_shape are 8-byte cells packed eight to a
+// line (runtime::DenseAtomicArray) and indexed by the shape's NodeId; leaf
+// ordinal v < N is value leaf v and ordinal N + i is process i's leaf
+// (util::algorithm_a_leaf).
 //
 // Deviation from the paper's pseudocode (documented in EXPERIMENTS.md, and
 // demonstrated by the simulation-layer model checker): the printed
@@ -30,7 +31,8 @@
 #include <cstdint>
 
 #include "ruco/core/types.h"
-#include "ruco/farray/farray.h"
+#include "ruco/runtime/padded.h"
+#include "ruco/util/tree_shape.h"
 
 namespace ruco::maxreg {
 
@@ -60,14 +62,27 @@ class TreeMaxRegister {
   void write_max(ProcId proc, Value v);
 
   [[nodiscard]] std::uint32_t num_processes() const noexcept {
-    return tree_.num_slots() / 2;  // N value leaves + N process leaves
+    // N value leaves + N process leaves
+    return static_cast<std::uint32_t>(shape_.leaf_count() / 2);
   }
   /// Depth of the leaf WriteMax(v) by `proc` would start from -- the step
   /// bound's driver; exposed for the structure tests and benchmarks.
   [[nodiscard]] std::uint32_t write_leaf_depth(ProcId proc, Value v) const;
 
+  [[nodiscard]] const util::TreeShape& shape() const noexcept {
+    return shape_;
+  }
+  /// The node cells, indexed by the shape's NodeId.
+  [[nodiscard]] const runtime::DenseAtomicArray<Value>& cells() const noexcept {
+    return values_;
+  }
+
  private:
-  farray::MaxFArray tree_;
+  /// Refreshes the path above leaf `leaf` (a NodeId).
+  void propagate(util::TreeShape::NodeId leaf);
+
+  util::TreeShape shape_;
+  runtime::DenseAtomicArray<Value> values_;
   Faithfulness mode_;
 };
 

@@ -7,25 +7,26 @@
 //     would only add false sharing.
 //   * DenseAtomicArray<T>: std::atomic<T> cells packed back to back in one
 //     allocation that starts on a line boundary, eight 8-byte cells per
-//     line.  For the Value trees of farray::FArray (the f-array counter
-//     and Algorithm A) and the view pointers of the 8-ary f-array
-//     snapshot, whose eight siblings fill one line
-//     (ruco/snapshot/farray_snapshot.h).
+//     line.  For the trees: the 8-ary f-arrays (farray::FArray, the
+//     f-array counter, and the view pointers of the f-array snapshot),
+//     whose eight siblings fill one line (ruco/farray/wide_propagate.h),
+//     and Algorithm A's binary tree (maxreg::TreeMaxRegister).
 //
-// Trees are not padded, because a propagation level reads three cells:
-// the node and its two children.  Padded, those are three lines per level,
-// and a depth-d propagation touches 2d+1 distinct lines.  Dense and
-// indexed by TreeShape's post-order NodeId, two sibling leaves sit next to
-// their parent, and a 4-leaf subtree (7 nodes, 56 B) fits in about one
-// line.  Counted over every leaf's path, a level of the f-array counter
-// reads 1.0 line on average at N = 4 and 1.8 at N = 64 (3 when padded),
-// and a whole propagation touches 1 line instead of 5 at N = 4 and 5
-// instead of 13 at N = 64 (Algorithm A's process leaves at N = 64: 6
-// instead of 15).  The writers that now share a line were CASing the
-// same ancestors anyway.  The counter at N = 64 shrinks from 127 lines to
-// 16 (8.1 KB to 1 KB), Algorithm A from 255 to 32.  DESIGN.md "Cell
-// layout" has the latency measurements and the variants that were
-// measured and rejected.
+// Trees are not padded, because a propagation level reads a node and its
+// children together.  Padded, a binary level is three lines, and a
+// depth-d propagation touches 2d+1 distinct lines.  In the 8-ary f-array
+// every level starts on a line, so a level reads its children's line and
+// the node's: at N = 64 an increment touches 3 lines (the leaf line, the
+// line of the 8 level-1 nodes, the root's own line) and makes 2 CASes; at
+// N = 4 the root sits beside the 4 leaves and an increment touches 1
+// line.  The counter at N = 64 takes 10 lines (80 cells, 640 B) instead
+// of 127 padded ones.  Algorithm A keeps the binary tree, indexed by
+// TreeShape's post-order NodeId so that two sibling leaves sit next to
+// their parent: its process leaves' propagation at N = 64 touches 6 lines
+// instead of 15, and the tree takes 32 lines instead of 255.  The writers
+// that share a line were CASing the same ancestors anyway.  DESIGN.md
+// "Cell layout" and "Wide f-array" have the latency measurements and the
+// variants that were measured and rejected.
 #pragma once
 
 #include <atomic>

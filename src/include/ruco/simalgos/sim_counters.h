@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "ruco/core/types.h"
+#include "ruco/farray/wide_propagate.h"
+#include "ruco/maxreg/refresh_policy.h"
 #include "ruco/sim/op.h"
 #include "ruco/sim/system.h"
 #include "ruco/simalgos/sim_max_registers.h"
@@ -13,13 +15,25 @@
 
 namespace ruco::simalgos {
 
+/// The wide loop of ruco/farray/wide_propagate.h over simulated memory:
+/// at every level above leaf `leaf` of `levels`, up to two rounds of (read
+/// the node, read each child, CAS in the `combine` fold of the children).
+/// `objects[i]` backs cell i.  kConditional mirrors production: a fold
+/// equal to the node value skips the CAS and a won CAS ends the level.
+/// kAlwaysTwice runs both rounds at every level.
+[[nodiscard]] sim::Op propagate_wide(
+    sim::Ctx& ctx, const std::vector<farray::Level>& levels,
+    const std::vector<sim::ObjectId>& objects, std::uint32_t leaf,
+    Value (*combine)(Value, Value), maxreg::RefreshPolicy policy);
+
 /// Jayanti f-array counter over simulated memory (CAS variant): read O(1),
-/// increment O(log N).  See counter::FArrayCounter.  Unlike the production
+/// increment O(log N), over the same 8-ary levels and root rule as
+/// counter::FArrayCounter (farray::wide_levels).  Unlike the production
 /// twin, the increment re-reads its own leaf (one extra step) because
 /// simulated operations may not carry state between operations (replay
 /// after erasure re-runs coroutines from scratch).
 ///
-/// `policy` selects the propagation (see simalgos::propagate_twice):
+/// `policy` selects the propagation (see simalgos::propagate_wide):
 /// kConditional mirrors production, kAlwaysTwice is the paper-literal
 /// double refresh.
 class SimFArrayCounter {
@@ -33,13 +47,13 @@ class SimFArrayCounter {
 
   [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
   [[nodiscard]] sim::ObjectId root_object() const {
-    return objects_[shape_.root()];
+    return objects_[levels_.back().offset];
   }
 
  private:
   std::uint32_t n_;
-  util::TreeShape shape_;
-  std::vector<sim::ObjectId> objects_;
+  std::vector<farray::Level> levels_;
+  std::vector<sim::ObjectId> objects_;  // by cell; padding cells unused
   maxreg::RefreshPolicy policy_;
 };
 

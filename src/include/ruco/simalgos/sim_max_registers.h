@@ -20,7 +20,8 @@
 namespace ruco::simalgos {
 
 /// The double-refresh loop of ruco/maxreg/propagate.h over simulated
-/// memory, shared by the Algorithm A and f-array counter twins: at every
+/// memory, Algorithm A's binary tree (the f-array counter twin runs the
+/// 8-ary simalgos::propagate_wide): at every
 /// node from the parent of `start` up to the root of `shape`, up to
 /// `attempts` rounds of (read the node, read both children, CAS in
 /// `combine` of the children).  `objects[n]` backs node n.  kConditional

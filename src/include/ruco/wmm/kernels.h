@@ -1,14 +1,16 @@
 // Protocol kernels: the production hot-path synchronization patterns
-// transcribed as litmus programs against the real `runtime::mo_*`
-// constants, with their correctness conditions as machine-checked
-// invariants over all RC11-consistent executions.
+// transcribed as litmus programs against the shipped orders (the real
+// `runtime::mo_*` constants where the code uses them), with their
+// correctness conditions as machine-checked invariants over all
+// RC11-consistent executions.
 //
 // Six kernels cover the order table in DESIGN.md ("Hot-path
 // engineering"):
 //
 //   propagate-counter/{conditional,always-twice}
 //       `propagate_twice` (ruco/maxreg/propagate.h) on a 2-leaf tree
-//       with two concurrent increments, both RefreshPolicy variants.
+//       with two concurrent increments, both RefreshPolicy variants, at
+//       its seq_cst sites.
 //       Invariants: no lost increment (final node == 2) and no
 //       monotonicity regression (the node's modification order is
 //       nondecreasing) -- the PR-4 node-load bug class.
@@ -61,20 +63,28 @@
 //       check stands for the grace period.  Invariant: the free never
 //       races the read.
 //
-// Two more kernels check the snapshot's seq_cst sites against the
-// store-buffering execution that acquire/release allows (they are not part
-// of protocol_kernels()):
+// Four more kernels check the wide and binary loops' seq_cst sites
+// against the store-buffering execution that acquire/release allows (they
+// are not part of protocol_kernels()):
 //
 //   propagate-wide
-//       One node over three leaves, one increment per leaf, the
-//       snapshot's loop (conditional double refresh, no skip).
+//       One node over three leaves, one increment per leaf, the wide
+//       loop's view instantiation (conditional double refresh, no skip).
 //       Invariants: no lost increment (final node == 3), monotone node.
+//
+//   propagate-wide/skip
+//       The same with the Value-cell instantiation's no-change skip (the
+//       f-array counter's loop).
 //
 //   propagate-counter/repeat
 //       propagate_twice on a 2-leaf tree where one writer increments
 //       twice and the other once.  Invariants: final node == 3, monotone
-//       node.  At the binary f-array's release/acquire orders it loses an
-//       increment: the known gap of farray::FArray (ROADMAP).
+//       node.  At release/acquire it loses an increment.
+//
+//   propagate-max/repeat
+//       propagate_twice with Algorithm A's max on a 2-leaf tree: owner A
+//       writes 1 then 2, owner B writes 3.  Invariants: final node == 3,
+//       monotone node.  At release/acquire it loses B's write (final 2).
 //
 // mutation_sites() weakens each load-bearing mo_* use-site one at a
 // time; run_mutation_driver() asserts the explorer exhibits a concrete
@@ -94,23 +104,26 @@
 
 namespace ruco::wmm {
 
-/// Per-site orders of the propagation protocol, defaulting to the
-/// shipped `runtime::mo_*` constants (so a RUCO_SEQCST_ATOMICS build
-/// checks the collapsed configuration automatically).
+/// Per-site orders of the propagation protocol, defaulting to the shipped
+/// ones (ruco/maxreg/propagate.h, ruco/farray/wide_propagate.h): seq_cst at
+/// the leaf store, the node load, the child loads and the success CAS,
+/// relaxed on CAS failure.  Those are literal, not mo_*: they are already
+/// the strongest, so every build checks the same protocol.  The root read
+/// is `runtime::mo_acquire`, so a RUCO_SEQCST_ATOMICS build checks its
+/// collapsed order.
 struct PropagateOrders {
-  std::memory_order leaf_store = runtime::mo_release;
-  std::memory_order node_load = runtime::mo_acquire;  // the PR-4 fix site
-  std::memory_order child_load = runtime::mo_acquire;
-  std::memory_order cas_ok = runtime::mo_release;
-  std::memory_order cas_fail = runtime::mo_relaxed;
+  std::memory_order leaf_store = std::memory_order_seq_cst;
+  std::memory_order node_load = std::memory_order_seq_cst;
+  std::memory_order child_load = std::memory_order_seq_cst;
+  std::memory_order cas_ok = std::memory_order_seq_cst;
+  std::memory_order cas_fail = std::memory_order_relaxed;
   std::memory_order root_read = runtime::mo_acquire;
 };
 
-/// The f-array snapshot's orders (src/snapshot/farray_snapshot.cpp):
-/// seq_cst at the leaf store, the node load, the child loads and the
-/// success CAS, relaxed on CAS failure.  Literal, not mo_*: they are
-/// already the strongest, so every build checks the same protocol.
-PropagateOrders wide_orders();
+/// The release/acquire orders the binary loop shipped before its four
+/// sites became seq_cst: release leaf store and success CAS, acquire node
+/// and child loads.  Kept to pin the store-buffering executions they allow.
+PropagateOrders release_acquire_orders();
 
 /// Per-site orders of the MCAS descriptor-publication pattern,
 /// mirroring src/kcas/mcas.cpp.
@@ -152,12 +165,17 @@ struct Kernel {
 
 Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
                                      const PropagateOrders& o = {});
-Kernel make_propagate_snapshot_kernel(
-    const PropagateOrders& o = wide_orders());
-Kernel make_propagate_wide_kernel(const PropagateOrders& o = wide_orders());
-/// No default: the binary f-array's orders lose an increment here, the
-/// snapshot's do not.
-Kernel make_propagate_repeat_kernel(const PropagateOrders& o);
+Kernel make_propagate_snapshot_kernel(const PropagateOrders& o = {});
+/// `no_change_skip` selects the Value-cell instantiation of the wide loop
+/// (propagate-wide/skip); without it the kernel is the view instantiation,
+/// which always CASes (propagate-wide).
+Kernel make_propagate_wide_kernel(const PropagateOrders& o = {},
+                                  bool no_change_skip = false);
+/// Release/acquire orders lose an increment here; the shipped ones do not.
+Kernel make_propagate_repeat_kernel(const PropagateOrders& o = {});
+/// Algorithm A's max on a 2-leaf tree: release/acquire orders lose the
+/// larger write here; the shipped ones do not.
+Kernel make_propagate_max_repeat_kernel(const PropagateOrders& o = {});
 Kernel make_root_read_kernel(const PropagateOrders& o = {});
 Kernel make_leaf_handoff_kernel(const PropagateOrders& o = {});
 Kernel make_mcas_publication_kernel(const McasOrders& o = {});
@@ -190,8 +208,8 @@ std::vector<MutationSite> reclaim_mutation_sites();
 /// mutation_sites() for the same reason; rucosim wmm and wmm_test run them.
 std::vector<MutationSite> mcas_read_mutation_sites();
 
-/// The snapshot's four seq_cst sites, each weakened alone to the
-/// acquire/release order it had in the binary loop, in propagate-wide and
+/// The loops' four seq_cst sites, each weakened alone to its
+/// release/acquire order, in propagate-wide, propagate-wide/skip and
 /// propagate-counter/repeat.  Kept out of mutation_sites() for the same
 /// reason; rucosim wmm and wmm_test run them.
 std::vector<MutationSite> wide_mutation_sites();

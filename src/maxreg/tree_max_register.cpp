@@ -3,17 +3,27 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "ruco/maxreg/propagate.h"
+#include "ruco/runtime/memorder.h"
+#include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
-#include "ruco/util/tree_shape.h"
 
 namespace ruco::maxreg {
 
 TreeMaxRegister::TreeMaxRegister(std::uint32_t num_processes,
                                  Faithfulness mode)
-    : tree_{util::algorithm_a_shape(num_processes), kNoValue}, mode_{mode} {}
+    : shape_{util::algorithm_a_shape(num_processes)},
+      values_(shape_.node_count(), kNoValue),
+      mode_{mode} {}
 
-Value TreeMaxRegister::read_max(ProcId proc) const {
-  return tree_.read_aggregate(proc);
+Value TreeMaxRegister::read_max(ProcId /*proc*/) const {
+  runtime::step_tick();
+  return values_[shape_.root()].load(runtime::mo_acquire);
+}
+
+void TreeMaxRegister::propagate(util::TreeShape::NodeId leaf) {
+  propagate_twice(shape_, values_, leaf,
+                  [](Value l, Value r) { return l > r ? l : r; });
 }
 
 void TreeMaxRegister::write_max(ProcId proc, Value v) {
@@ -27,29 +37,34 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
     // write that put the root there -- O(1) instead of a full descent.
     // Not applied in kAsPrinted mode, which reproduces the paper's literal
     // pseudocode.
-    if (tree_.read_aggregate(proc) >= v) {
+    if (read_max(proc) >= v) {
       telemetry::prod().tree_root_fastpath.inc();
       return;
     }
   }
-  const std::uint32_t slot = util::algorithm_a_leaf(num_processes(), proc, v);
-  telemetry::prod().tree_descent_depth.record(write_leaf_depth(proc, v));
-  if (v <= tree_.read_slot(proc, slot)) {
+  const util::TreeShape::NodeId leaf =
+      shape_.leaf(util::algorithm_a_leaf(num_processes(), proc, v));
+  telemetry::prod().tree_descent_depth.record(shape_.depth(leaf));
+  runtime::step_tick();
+  if (v <= values_[leaf].load(runtime::mo_acquire)) {
     // Another write of >= v already reached this leaf.  The paper's printed
     // code returns here; without helping, the other write may not have
     // propagated yet and this (completed) operation could be missed by a
     // subsequent ReadMax.
     telemetry::prod().tree_duplicate_writes.inc();
-    if (mode_ == Faithfulness::kHelpOnDuplicate) tree_.refresh(slot);
+    if (mode_ == Faithfulness::kHelpOnDuplicate) propagate(leaf);
     return;
   }
-  tree_.update(slot, v);
+  runtime::step_tick();
+  // seq_cst, with propagate_twice's node and child loads and success CAS
+  // (ruco/maxreg/propagate.h).
+  values_[leaf].store(v, std::memory_order_seq_cst);
+  propagate(leaf);
 }
 
 std::uint32_t TreeMaxRegister::write_leaf_depth(ProcId proc, Value v) const {
-  const util::TreeShape& shape = tree_.shape();
-  return shape.depth(
-      shape.leaf(util::algorithm_a_leaf(num_processes(), proc, v)));
+  return shape_.depth(
+      shape_.leaf(util::algorithm_a_leaf(num_processes(), proc, v)));
 }
 
 }  // namespace ruco::maxreg

@@ -97,12 +97,12 @@ Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
   return k;
 }
 
-PropagateOrders wide_orders() {
+PropagateOrders release_acquire_orders() {
   PropagateOrders o;
-  o.leaf_store = std::memory_order_seq_cst;
-  o.node_load = std::memory_order_seq_cst;
-  o.child_load = std::memory_order_seq_cst;
-  o.cas_ok = std::memory_order_seq_cst;
+  o.leaf_store = std::memory_order_release;
+  o.node_load = std::memory_order_acquire;
+  o.child_load = std::memory_order_acquire;
+  o.cas_ok = std::memory_order_release;
   o.cas_fail = std::memory_order_relaxed;
   return o;
 }
@@ -143,18 +143,23 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
   return k;
 }
 
-Kernel make_propagate_wide_kernel(const PropagateOrders& o) {
+Kernel make_propagate_wide_kernel(const PropagateOrders& o,
+                                  bool no_change_skip) {
   Kernel k;
-  k.name = "propagate-wide";
+  k.name = no_change_skip ? "propagate-wide/skip" : "propagate-wide";
   k.description =
-      "the f-array snapshot's wide propagation: one node over three "
-      "leaves, one increment per leaf";
+      no_change_skip
+          ? "the wide propagation's Value-cell instantiation: one node over "
+            "three leaves, one increment per leaf, no-change skip"
+          : "the wide propagation's view instantiation: one node over three "
+            "leaves, one increment per leaf";
   auto node = k.program.atomic<Value>("node", 0);  // loc 0
   auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
   auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
   auto l2 = k.program.atomic<Value>("l2", 0);      // loc 3
-  // FArraySnapshot::propagate with combine = sum: no no-change skip (a
-  // merged view never equals the node's pointer), stop on a won CAS.
+  // farray::propagate_wide with combine = sum, stop on a won CAS.  Views
+  // never take the no-change skip (a merged view never equals the node's
+  // pointer); Value cells do.
   auto writer = [=](Atomic<Value> leaf) {
     return [=] {
       leaf.store(1, o.leaf_store);
@@ -163,6 +168,7 @@ Kernel make_propagate_wide_kernel(const PropagateOrders& o) {
         const Value a = l0.load(o.child_load);
         const Value b = l1.load(o.child_load);
         const Value c = l2.load(o.child_load);
+        if (no_change_skip && a + b + c == old_v) break;
         if (node.compare_exchange_strong(old_v, a + b + c, o.cas_ok,
                                          o.cas_fail)) {
           break;
@@ -184,22 +190,28 @@ Kernel make_propagate_wide_kernel(const PropagateOrders& o) {
   return k;
 }
 
-Kernel make_propagate_repeat_kernel(const PropagateOrders& o) {
+namespace {
+
+// A 2-leaf tree where owner A writes `a_writes` in turn to leaf 0 and
+// owner B writes `b_write` to leaf 1, each write followed by the
+// conditional loop of ruco/maxreg/propagate.h with `combine`.  Invariants:
+// the node is monotone and ends at `expected`.
+Kernel make_repeat_kernel(std::string name, std::string description,
+                          const PropagateOrders& o, Value (*combine)(Value, Value),
+                          std::vector<Value> a_writes, Value b_write,
+                          Value expected) {
   Kernel k;
-  k.name = "propagate-counter/repeat";
-  k.description =
-      "propagate_twice on a 2-leaf tree: one writer increments twice, the "
-      "other once";
+  k.name = std::move(name);
+  k.description = std::move(description);
   auto node = k.program.atomic<Value>("node", 0);  // loc 0
   auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
   auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
-  // The conditional loop of ruco/maxreg/propagate.h, combine = sum.
   auto propagate = [=] {
     for (int round = 0; round < 2; ++round) {
       Value old_v = node.load(o.node_load);
       const Value lv = l0.load(o.child_load);
       const Value rv = l1.load(o.child_load);
-      const Value nv = lv + rv;
+      const Value nv = combine(lv, rv);
       if (nv == old_v) break;  // no-change skip
       if (node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail)) {
         break;
@@ -207,24 +219,43 @@ Kernel make_propagate_repeat_kernel(const PropagateOrders& o) {
     }
   };
   k.program.thread([=] {
-    for (Value v = 1; v <= 2; ++v) {
+    for (const Value v : a_writes) {
       l0.store(v, o.leaf_store);
       propagate();
     }
   });
   k.program.thread([=] {
-    l1.store(1, o.leaf_store);
+    l1.store(b_write, o.leaf_store);
     propagate();
   });
-  k.invariant = [](const Graph& g) -> std::string {
+  k.invariant = [expected](const Graph& g) -> std::string {
     if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
-    if (g.final_value(0) != 3) {
-      return "lost increment: final node value " +
-             std::to_string(g.final_value(0)) + ", expected 3";
+    if (g.final_value(0) != expected) {
+      return "lost update: final node value " +
+             std::to_string(g.final_value(0)) + ", expected " +
+             std::to_string(expected);
     }
     return "";
   };
   return k;
+}
+
+}  // namespace
+
+Kernel make_propagate_repeat_kernel(const PropagateOrders& o) {
+  return make_repeat_kernel(
+      "propagate-counter/repeat",
+      "propagate_twice on a 2-leaf tree: one writer increments twice, the "
+      "other once",
+      o, [](Value l, Value r) { return l + r; }, {1, 2}, 1, 3);
+}
+
+Kernel make_propagate_max_repeat_kernel(const PropagateOrders& o) {
+  return make_repeat_kernel(
+      "propagate-max/repeat",
+      "Algorithm A's propagate_twice on a 2-leaf tree: one owner writes 1 "
+      "then 2, the other writes 3",
+      o, [](Value l, Value r) { return l > r ? l : r; }, {1, 2}, 3, 3);
 }
 
 Kernel make_root_read_kernel(const PropagateOrders& o) {
@@ -479,7 +510,7 @@ std::vector<MutationSite> mutation_sites() {
     const std::string kname = conditional
                                   ? "propagate-counter/conditional"
                                   : "propagate-counter/always-twice";
-    add(kname + ":node_load acq->rlx",
+    add(kname + ":node_load sc->rlx",
         "the PR-4 bug: a fresh node beside stale child loads lets the "
         "no-change skip drop a sibling's increment or the CAS regress "
         "the monotone aggregate",
@@ -488,9 +519,9 @@ std::vector<MutationSite> mutation_sites() {
           o.node_load = std::memory_order_relaxed;
           return make_propagate_counter_kernel(policy, o);
         });
-    add(kname + ":cas_ok rel->rlx",
-        "without the release the installing CAS publishes nothing: the "
-        "sibling's acquire node load gets no synchronizes-with edge and "
+    add(kname + ":cas_ok sc->rlx",
+        "a relaxed installing CAS publishes nothing and leaves the SC "
+        "order: the sibling's node load gets no synchronizes-with edge and "
         "its child loads may be stale",
         /*pr4=*/false, [policy] {
           PropagateOrders o;
@@ -503,7 +534,7 @@ std::vector<MutationSite> mutation_sites() {
       "a relaxed child load sees the leaf but not the payload written "
       "before it: torn snapshot view (data race)",
       /*pr4=*/false, [] {
-        PropagateOrders o = wide_orders();
+        PropagateOrders o;
         o.child_load = std::memory_order_relaxed;
         return make_propagate_snapshot_kernel(o);
       });
@@ -511,7 +542,7 @@ std::vector<MutationSite> mutation_sites() {
       "a relaxed leaf store publishes nothing: the sibling dereferences "
       "an unpublished payload (data race)",
       /*pr4=*/false, [] {
-        PropagateOrders o = wide_orders();
+        PropagateOrders o;
         o.leaf_store = std::memory_order_relaxed;
         return make_propagate_snapshot_kernel(o);
       });
@@ -524,7 +555,7 @@ std::vector<MutationSite> mutation_sites() {
         o.root_read = std::memory_order_relaxed;
         return make_root_read_kernel(o);
       });
-  add("root-read:cas_ok rel->rlx",
+  add("root-read:cas_ok sc->rlx",
       "a relaxed install CAS gives the acquire fast-path load no "
       "release to synchronize with",
       /*pr4=*/false, [] {
@@ -533,14 +564,14 @@ std::vector<MutationSite> mutation_sites() {
         return make_root_read_kernel(o);
       });
 
-  add("leaf-handoff:leaf_store rel->rlx",
+  add("leaf-handoff:leaf_store sc->rlx",
       "the helper observes the leaf but races the writer's payload",
       /*pr4=*/false, [] {
         PropagateOrders o;
         o.leaf_store = std::memory_order_relaxed;
         return make_leaf_handoff_kernel(o);
       });
-  add("leaf-handoff:child_load acq->rlx",
+  add("leaf-handoff:child_load sc->rlx",
       "a relaxed helper load discards the writer's release: payload race",
       /*pr4=*/false, [] {
         PropagateOrders o;
@@ -653,7 +684,7 @@ std::vector<MutationSite> wide_mutation_sites() {
   static constexpr Weakening kWeakenings[] = {
       {"leaf_store sc->rel",
        "a release leaf store can wait in the store buffer while its owner "
-       "refreshes: a third refresher installs a view without it after the "
+       "refreshes: a third refresher installs a merge without it after the "
        "owner's CAS lost",
        &PropagateOrders::leaf_store, std::memory_order_release},
       {"node_load sc->acq",
@@ -674,12 +705,17 @@ std::vector<MutationSite> wide_mutation_sites() {
   std::vector<MutationSite> out;
   for (const Weakening& w : kWeakenings) {
     const auto weakened = [w] {
-      PropagateOrders o = wide_orders();
+      PropagateOrders o;
       o.*w.field = w.weaker;
       return o;
     };
     add_site(out, std::string{"propagate-wide:"} + w.site, w.note,
              [weakened] { return make_propagate_wide_kernel(weakened()); });
+    add_site(out, std::string{"propagate-wide/skip:"} + w.site, w.note,
+             [weakened] {
+               return make_propagate_wide_kernel(weakened(),
+                                                 /*no_change_skip=*/true);
+             });
     add_site(out, std::string{"propagate-counter/repeat:"} + w.site, w.note,
              [weakened] { return make_propagate_repeat_kernel(weakened()); });
   }

@@ -7,11 +7,14 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ruco/farray/farray.h"
 #include "ruco/lincheck/checker.h"
 #include "ruco/lincheck/specs.h"
+#include "ruco/maxreg/tree_max_register.h"
 #include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/runtime/thread_harness.h"
@@ -164,16 +167,60 @@ std::size_t cell_lines(const runtime::DenseAtomicArray<Value>& cells) {
 TEST(FArrayDense, CellsAreOneLineAlignedAllocation) {
   // The trees of FArrayCounter{64} and TreeMaxRegister{64}.
   const SumFArray counter{64, 0};
-  const MaxFArray alg_a{util::algorithm_a_shape(64), kNoValue};
+  const maxreg::TreeMaxRegister alg_a{64};
   for (const auto* cells : {&counter.cells(), &alg_a.cells()}) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(cells->data()) %
                   runtime::kCacheLine,
               0u);
     EXPECT_EQ(sizeof((*cells)[0]), sizeof(Value));
   }
-  EXPECT_EQ(counter.cells().size(), counter.shape().node_count());
-  EXPECT_LE(cell_lines(counter.cells()), 16u);
+  // 64 leaves on 8 lines, their 8 parents on one, the root on its own.
+  EXPECT_EQ(counter.cells().size(), 80u);
+  EXPECT_EQ(cell_lines(counter.cells()), 10u);
+  EXPECT_EQ(alg_a.cells().size(), alg_a.shape().node_count());
   EXPECT_LE(cell_lines(alg_a.cells()), 32u);
+}
+
+TEST(FArrayWide, LevelsStartOnLinesAndTheRootSharesWhenItFits) {
+  struct Case {
+    std::uint32_t n;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> levels;  // offset, count
+    std::size_t cells;
+  };
+  const std::vector<Case> cases = {
+      {1, {{0, 1}}, 8},                             // the leaf is the root
+      {4, {{0, 4}, {4, 1}}, 8},                     // root in the leaf line
+      {8, {{0, 8}, {8, 1}}, 16},                    // full line: own line
+      {32, {{0, 32}, {32, 4}, {36, 1}}, 40},        // 4 parents leave room
+      {64, {{0, 64}, {64, 8}, {72, 1}}, 80},        // 8 parents: own line
+      {100, {{0, 100}, {104, 13}, {120, 2}, {122, 1}}, 128},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("N = " + std::to_string(c.n));
+    const SumFArray fa{c.n, 0};
+    ASSERT_EQ(fa.levels().size(), c.levels.size());
+    for (std::size_t l = 0; l < c.levels.size(); ++l) {
+      EXPECT_EQ(fa.levels()[l].offset, c.levels[l].first) << "level " << l;
+      EXPECT_EQ(fa.levels()[l].count, c.levels[l].second) << "level " << l;
+    }
+    EXPECT_EQ(fa.cells().size(), c.cells);
+    EXPECT_EQ(fa.num_slots(), c.n);
+  }
+}
+
+TEST(FArrayWide, EveryLevelSizeSumsExactly) {
+  // Level sizes around the fan-out: a partial last child group, a full
+  // one, and one child more than a line.
+  for (const std::uint32_t n : {7u, 8u, 9u, 63u, 64u, 65u, 513u}) {
+    SCOPED_TRACE("N = " + std::to_string(n));
+    SumFArray fa{n, 0};
+    Value expected = 0;
+    for (ProcId s = 0; s < n; ++s) {
+      fa.update(s, static_cast<Value>(s) + 1);
+      expected += static_cast<Value>(s) + 1;
+      ASSERT_EQ(fa.read_aggregate(0), expected) << "after slot " << s;
+    }
+  }
 }
 
 // Four threads over N = 64 slots, thread t owning the slots = t mod 4: the

@@ -72,8 +72,17 @@ TEST(GoldenSteps, UnboundedAacMaxRegister) {
 
 TEST(GoldenSteps, Counters) {
   {
-    counter::FArrayCounter c{64};  // 6 levels x 4 (conditional) + leaf write
-    EXPECT_EQ(steps([&] { c.increment(9); }), 25u);
+    // 8-ary tree: 64 leaves -> 8 nodes -> root.  Leaf write 1, then per
+    // level the node load, 8 child loads and the CAS: 1 + 10 + 10 (the
+    // binary tree paid 1 + 6 levels x 4 = 25).
+    counter::FArrayCounter c{64};
+    EXPECT_EQ(steps([&] { c.increment(9); }), 21u);
+    EXPECT_EQ(steps([&] { (void)c.read(0); }), 1u);
+  }
+  {
+    // 4 leaves and the root in one line: 1 + (1 + 4 + 1).
+    counter::FArrayCounter c{4};
+    EXPECT_EQ(steps([&] { c.increment(2); }), 7u);
     EXPECT_EQ(steps([&] { (void)c.read(0); }), 1u);
   }
   {
@@ -123,8 +132,8 @@ TEST(GoldenSteps, Snapshots) {
 TEST(GoldenSteps, FArrayNoChangeSkipsCas) {
   // Writing the value a slot already holds leaves every path node's
   // aggregate unchanged, so conditional refresh skips all CASes: 1 leaf
-  // write + 3 reads per level (node + 2 children, no CAS).
-  farray::SumFArray a{8, 0};  // 3 levels
+  // write + the root's node load + its 8 child loads, no CAS.
+  farray::SumFArray a{8, 0};  // 8 leaves under one root
   a.update(0, 5);
   EXPECT_EQ(steps([&] { a.update(0, 5); }), 10u);
 }

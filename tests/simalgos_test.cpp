@@ -249,7 +249,8 @@ TEST(StepParity, FArrayCounterIncrementWithinOneOfProduction) {
       [&sim_counter](sim::Ctx& ctx) { return sim_counter.increment(ctx); });
   sim::System sys{prog};
   // Process ids map to leaves; body runs as proc 0 here, production used
-  // proc 5 -- same depth in a complete tree of 32.
+  // proc 5 -- both under the first 8-child node of the 8-ary tree of 32,
+  // whose root has 4 children.
   sim::run_solo(sys, 0, 10'000);
   // Documented off-by-one: the sim twin re-reads its own leaf (no
   // cross-operation local state allowed under replay).

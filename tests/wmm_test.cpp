@@ -9,9 +9,9 @@
 //      programs the RC11 explorer, the internal interleaving-SC oracle,
 //      and the repo's sim model checker must agree on the reachable
 //      outcome set (randomized straight-line programs).
-//   3. Protocol kernels at the shipped `runtime::mo_*` orders: zero
-//      violations over every RC11-consistent execution, search complete.
-//   4. Mutation driver: weakening any load-bearing mo_* site must
+//   3. Protocol kernels at the shipped orders: zero violations over
+//      every RC11-consistent execution, search complete.
+//   4. Mutation driver: weakening any load-bearing site must
 //      exhibit a concrete violating execution -- including the PR-4
 //      `propagate_twice` node-load acquire->relaxed bug as a permanent
 //      must-fail regression.
@@ -171,7 +171,9 @@ wmm::Program make_wmm_program(const RandProgram& spec,
   wmm::Program prog;
   std::vector<wmm::Atomic<Value>> locs;
   for (std::uint32_t l = 0; l < num_locs; ++l) {
-    locs.push_back(prog.atomic<Value>("x" + std::to_string(l), 0));
+    std::string name = "x";
+    name += std::to_string(l);  // GCC 12 -O3 -Wrestrict misfires on "x" + ...
+    locs.push_back(prog.atomic<Value>(name, 0));
   }
   for (const auto& ops : spec) {
     prog.thread([ops, locs] {
@@ -370,11 +372,13 @@ TEST(WmmMutation, ResolvingReadSitesAllHaveViolatingExecutions) {
 }
 
 TEST(WmmKernels, WideKernelsAreCleanAtTheSnapshotOrders) {
-  // The snapshot's four seq_cst sites: no lost update with three leaves
-  // under one node, nor with one writer updating twice.
+  // The wide loop's four seq_cst sites: no lost update with three leaves
+  // under one node, for views (always CAS) and for Value cells (no-change
+  // skip), nor with one writer updating twice.
   for (const wmm::Kernel& kernel :
        {wmm::make_propagate_wide_kernel(),
-        wmm::make_propagate_repeat_kernel(wmm::wide_orders())}) {
+        wmm::make_propagate_wide_kernel({}, /*no_change_skip=*/true),
+        wmm::make_propagate_repeat_kernel()}) {
     SCOPED_TRACE(kernel.name);
     const wmm::ExploreResult res = wmm::check_kernel(kernel);
     EXPECT_TRUE(res.complete);
@@ -385,32 +389,42 @@ TEST(WmmKernels, WideKernelsAreCleanAtTheSnapshotOrders) {
   }
 }
 
+TEST(WmmKernels, WideSkipVariantStaysOutOfThePinnedLists) {
+  // The verify workload pins protocol_kernels() and mutation_sites(); the
+  // Value-cell instantiation's kernel and sites live beside them.
+  for (const wmm::Kernel& kernel : wmm::protocol_kernels()) {
+    EXPECT_EQ(kernel.name.find("propagate-wide"), std::string::npos);
+  }
+  for (const wmm::MutationSite& site : wmm::mutation_sites()) {
+    EXPECT_EQ(site.id.find("propagate-wide"), std::string::npos) << site.id;
+  }
+}
+
 TEST(WmmMutation, WideSitesAllHaveViolatingExecutions) {
-  // Each seq_cst site weakened alone to its binary-loop order loses an
-  // update in both kernels: the store-buffering execution of
-  // farray_snapshot.cpp.
+  // Each seq_cst site weakened alone to its release/acquire order loses an
+  // update in all three kernels: the store-buffering execution of
+  // farray/wide_propagate.h.
   const auto outcomes = wmm::run_mutation_driver(wmm::wide_mutation_sites());
-  ASSERT_EQ(outcomes.size(), 8u);
+  ASSERT_EQ(outcomes.size(), 12u);
+  std::size_t skip_sites = 0;
   for (const wmm::MutationOutcome& mo : outcomes) {
     SCOPED_TRACE(mo.id);
     EXPECT_TRUE(mo.found())
         << "weakening this site should be observable: " << mo.note;
     EXPECT_EQ(mo.sample_kind, "invariant");
     EXPECT_FALSE(mo.sample_dump.empty());
+    if (mo.id.starts_with("propagate-wide/skip:")) ++skip_sites;
   }
+  EXPECT_EQ(skip_sites, 4u);
 }
 
 TEST(WmmKernels, BinaryFArrayOrdersLoseARepeatedIncrement) {
-  // The known gap of farray::FArray (ROADMAP): propagate_twice's release
-  // leaf store and acquire loads let a writer that increments twice lose
-  // an increment under RC11; the snapshot's seq_cst sites do not.
-  wmm::PropagateOrders shipped;  // the default build's constants, literally
-  shipped.leaf_store = std::memory_order_release;
-  shipped.node_load = std::memory_order_acquire;
-  shipped.child_load = std::memory_order_acquire;
-  shipped.cas_ok = std::memory_order_release;
-  const wmm::ExploreResult weak =
-      wmm::check_kernel(wmm::make_propagate_repeat_kernel(shipped), 1);
+  // The store-buffering gap the binary loop had at release/acquire: a
+  // writer that increments twice loses an increment under RC11.  The
+  // shipped orders (PropagateOrders{}, the same in every build) are the
+  // four seq_cst sites and do not.
+  const wmm::ExploreResult weak = wmm::check_kernel(
+      wmm::make_propagate_repeat_kernel(wmm::release_acquire_orders()), 1);
   ASSERT_FALSE(weak.ok());
   EXPECT_EQ(weak.violations.front().kind, "invariant");
   EXPECT_NE(weak.violations.front().message.find("final node value 2"),
@@ -418,18 +432,32 @@ TEST(WmmKernels, BinaryFArrayOrdersLoseARepeatedIncrement) {
       << weak.violations.front().message;
 
   const wmm::ExploreResult as_built =
-      wmm::check_kernel(wmm::make_propagate_repeat_kernel({}), 1);
-#if defined(RUCO_SEQCST_ATOMICS)
-  EXPECT_TRUE(as_built.ok()) << "the collapsed constants close the gap";
-#else
-  EXPECT_FALSE(as_built.ok()) << "PropagateOrders{} is the release/acquire "
-                                 "build; the gap is expected to show";
-#endif
+      wmm::check_kernel(wmm::make_propagate_repeat_kernel({}));
+  EXPECT_TRUE(as_built.complete);
+  EXPECT_TRUE(as_built.ok()) << "the shipped seq_cst sites close the gap";
+}
+
+TEST(WmmKernels, AlgorithmAOrdersLoseARepeatedMaxWrite) {
+  // Algorithm A's max on two leaves: owner A writes 1 then 2, owner B
+  // writes 3.  At release/acquire B's write can go missing (final 2): A's
+  // second refresh reads B's leaf from before its store and beats B's
+  // second round.  Clean at the shipped seq_cst sites.
+  const wmm::ExploreResult weak = wmm::check_kernel(
+      wmm::make_propagate_max_repeat_kernel(wmm::release_acquire_orders()),
+      1);
+  ASSERT_FALSE(weak.ok());
+  EXPECT_EQ(weak.violations.front().kind, "invariant");
+  EXPECT_NE(weak.violations.front().message.find("final node value 2"),
+            std::string::npos)
+      << weak.violations.front().message;
 
   const wmm::ExploreResult sc =
-      wmm::check_kernel(wmm::make_propagate_repeat_kernel(wmm::wide_orders()));
+      wmm::check_kernel(wmm::make_propagate_max_repeat_kernel());
   EXPECT_TRUE(sc.complete);
-  EXPECT_TRUE(sc.ok());
+  EXPECT_GT(sc.executions, 1u);
+  EXPECT_TRUE(sc.ok()) << (sc.violations.empty()
+                               ? std::string{}
+                               : sc.violations.front().dump);
 }
 
 TEST(WmmKernels, ReclaimKernelSeesBothSidesOfTheRace) {
@@ -464,10 +492,11 @@ TEST(WmmMutation, Pr4NodeLoadRegressionStaysMustFail) {
 
 TEST(WmmMutation, OrderTableIsMinimalWhereItClaimsToBe)
 {
-  // The sites DESIGN.md deliberately does *not* strengthen stay clean
-  // when relaxed: the child loads of the pure-counter propagation (the
-  // integer payload needs only coherence; the acquire is for data
-  // published behind a leaf, covered by leaf-handoff) and the CAS failure
+  // Sites that are not load-bearing in the two-writer counter kernel stay
+  // clean when relaxed: the child loads (the integer payload needs only
+  // coherence there; what they order is data published behind a leaf,
+  // covered by leaf-handoff, and the leaf stores of a third refresher's
+  // owner, covered by the store-buffering kernels) and the CAS failure
   // order.
   for (const RefreshPolicy policy :
        {RefreshPolicy::kConditional, RefreshPolicy::kAlwaysTwice}) {

@@ -568,7 +568,9 @@ int cmd_wmm(const Args& args) {
   kernels.push_back(ruco::wmm::make_mcas_resolving_read_kernel());
   kernels.push_back(ruco::wmm::make_propagate_wide_kernel());
   kernels.push_back(
-      ruco::wmm::make_propagate_repeat_kernel(ruco::wmm::wide_orders()));
+      ruco::wmm::make_propagate_wide_kernel({}, /*no_change_skip=*/true));
+  kernels.push_back(ruco::wmm::make_propagate_repeat_kernel());
+  kernels.push_back(ruco::wmm::make_propagate_max_repeat_kernel());
   for (const auto& kernel : kernels) {
     const auto res = ruco::wmm::check_kernel(kernel, max_violations);
     const bool pass = res.ok() && res.complete;
