@@ -16,6 +16,7 @@
 #include "ruco/snapshot/farray_snapshot.h"
 #include "ruco/util/bits.h"
 #include "ruco/util/rng.h"
+#include "tsan.h"
 
 namespace ruco::snapshot {
 namespace {
@@ -257,18 +258,6 @@ TEST(SnapshotStress, ScannersAgreeOnOrder) {
     }
   }
 }
-
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsan = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsan = true;
-#else
-constexpr bool kTsan = false;
-#endif
-#else
-constexpr bool kTsan = false;
-#endif
 
 TEST(SnapshotStress, WideTreeKeepsOwnSegmentsAndMonotoneScans) {
   // Four threads own the 64 segments interleaved (thread t owns t, t + 4,
