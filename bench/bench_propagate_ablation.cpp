@@ -4,11 +4,19 @@
 //   (a) the step savings a single-attempt variant would enjoy,
 //   (b) the violation rate random schedules expose for attempts = 1 vs the
 //       zero violations for attempts = 2.
+//
+//   --json <path>  instead, run the deterministic perf-smoke lane and write
+//                  it in the series schema of scripts/check_perf_smoke.py:
+//                  4 writers of fresh maxima on a SimTreeMaxRegister under
+//                  seeded PCT schedules (lane "tree maxreg (Alg A)|sim-pct|4").
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "provenance.h"
 #include "ruco/core/table.h"
 #include "ruco/lincheck/checker.h"
 #include "ruco/lincheck/specs.h"
@@ -78,9 +86,83 @@ SweepResult sweep(int attempts, int seeds) {
   return out;
 }
 
+// Writer t's k-th write is k * kWriters + t, as in bench_hw_throughput
+// --contend: values interleave across writers, so a write propagates
+// unless a faster writer already put a larger value at the root.  A PCT
+// schedule is a function of its seed, so steps per write are exact and
+// the lane can be held to the guard's tight tolerance.  The budget
+// estimate kPctSteps puts PCT's kPctDepth - 1 priority change points in
+// the first quarter of it, inside runs of about 370 steps; a run that
+// reached the budget would be cut short, and the lane reports it.
+struct PctLane {
+  static constexpr ruco::ProcId kWriters = 4;
+  static constexpr Value kWritesEach = 16;
+  static constexpr std::uint64_t kSeeds = 64;
+  static constexpr std::uint32_t kPctDepth = 6;
+  static constexpr std::uint64_t kPctSteps = 1024;
+  std::uint64_t steps = 0;
+  std::uint64_t writes = 0;
+  bool complete = true;
+};
+
+PctLane pct_lane() {
+  PctLane lane;
+  for (std::uint64_t seed = 1; seed <= PctLane::kSeeds; ++seed) {
+    ruco::sim::Program prog;
+    SimTreeMaxRegister reg{prog, PctLane::kWriters,
+                           ruco::maxreg::Faithfulness::kHelpOnDuplicate};
+    for (ProcId t = 0; t < PctLane::kWriters; ++t) {
+      prog.add_process([&reg, t](ruco::sim::Ctx& ctx) -> ruco::sim::Op {
+        for (Value k = 0; k < PctLane::kWritesEach; ++k) {
+          co_await reg.write_max(ctx, k * PctLane::kWriters + t);
+        }
+        co_return 0;
+      });
+    }
+    ruco::sim::System sys{prog};
+    ruco::sim::PctOptions pct;
+    pct.seed = seed;
+    pct.depth = PctLane::kPctDepth;
+    pct.max_steps = PctLane::kPctSteps;
+    lane.steps += ruco::sim::run_pct(sys, pct);
+    for (ProcId t = 0; t < PctLane::kWriters; ++t) {
+      if (sys.active(t)) lane.complete = false;
+    }
+    lane.writes += PctLane::kWriters * PctLane::kWritesEach;
+  }
+  return lane;
+}
+
+int write_json(const std::string& path) {
+  const PctLane lane = pct_lane();
+  if (!lane.complete) {
+    std::cerr << "sim-pct lane: a run reached the PCT step budget\n";
+    return 1;
+  }
+  const double steps_per_op =
+      static_cast<double>(lane.steps) / static_cast<double>(lane.writes);
+  std::ofstream out{path};
+  out << "{\n  \"bench\": \"propagate_ablation\",\n";
+  ruco::bench::write_provenance(out);
+  out << "  \"seeds\": " << PctLane::kSeeds << ",\n  \"series\": [\n"
+      << "    {\"workload\": \"tree maxreg (Alg A)\", \"mode\": \"sim-pct\", "
+         "\"threads\": "
+      << PctLane::kWriters << ", \"ops\": " << lane.writes
+      << ", \"steps\": " << lane.steps
+      << ", \"steps_per_op\": " << steps_per_op << "}\n  ]\n}\n";
+  std::cout << "tree maxreg (Alg A)|sim-pct|" << PctLane::kWriters
+            << ": steps/op " << steps_per_op << "\nwrote " << path << "\n";
+  return out ? 0 : 1;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string{argv[i]} == "--json" && i + 1 < argc) {
+      return write_json(argv[i + 1]);
+    }
+  }
   std::cout << "# Ablation: double-CAS propagation (Algorithm A lines 6-9)"
                "\n\n";
   ruco::Table t{{"propagate attempts", "mean WriteMax steps",

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Perf-smoke regression guard over bench_hw_throughput JSON output.
+"""Perf-smoke regression guard over bench JSON output.
 
-Usage: check_perf_smoke.py <bench_json> [baseline_json]
+Usage: check_perf_smoke.py <bench_json>... [--baseline <baseline_json>]
        check_perf_smoke.py --self-test
 
 Compares steps/op of selected (workload, mode, threads) series against the
 recorded baselines (scripts/perf_baseline.json by default) and fails when a
-series exceeds its baseline by more than the configured tolerance.  Steps/op
-is the paper's complexity measure -- unlike ops/sec it does not depend on CI
-machine speed.  Solo (threads=1) lanes are fully deterministic, so a 10%
+series exceeds its baseline by more than the configured tolerance.  The
+series of every bench file given are checked together: the hardware lanes
+come from bench_hw_throughput --json, the deterministic sim-pct lane from
+bench_propagate_ablation --json.  Steps/op is the paper's complexity
+measure -- unlike ops/sec it does not depend on CI machine speed.  Solo (threads=1) lanes are fully deterministic, so a 10%
 excursion means an actual hot-path step regression (an extra load in the
 refresh loop, a lost fast path), not noise.  Contended lanes are *not*
 deterministic: a lost first-round CAS legitimately triggers a second
 refresh round (up to 4 extra events per level), so adverse scheduling on a
 noisy runner can push steps/op above the solo ceiling.  Those lanes carry a
-measured baseline plus a wider per-lane tolerance.
+measured baseline plus a wider per-lane tolerance.  The sim-pct lane is
+contended too, but under seeded PCT schedules of the simulation layer, so
+it is exact and takes the global tolerance.
 
 A baseline entry is either a bare number (steps/op ceiling, checked with
 the global tolerance) or an object {"baseline": B, "tolerance": T} for a
@@ -66,9 +70,8 @@ def load_series(bench, bench_path):
     return series, problems
 
 
-def check(bench, baseline, bench_path="<bench>", baseline_path="<baseline>",
-          out=sys.stdout):
-    """Core comparison; returns the list of failure messages."""
+def check(benches, baseline, baseline_path="<baseline>", out=sys.stdout):
+    """Core comparison over {bench_path: bench}; returns the failures."""
     try:
         tolerance = float(baseline.get("tolerance", 1.10))
     except (TypeError, ValueError):
@@ -77,7 +80,12 @@ def check(bench, baseline, bench_path="<bench>", baseline_path="<baseline>",
     if not isinstance(lanes, dict):
         return [f"{baseline_path}: no 'baselines' object at top level"]
 
-    series, failures = load_series(bench, bench_path)
+    series, failures = {}, []
+    for bench_path, bench in benches.items():
+        bench_series, problems = load_series(bench, bench_path)
+        series.update(bench_series)
+        failures += problems
+    bench_paths = ", ".join(benches)
     for key, entry in lanes.items():
         try:
             if isinstance(entry, dict):
@@ -97,7 +105,7 @@ def check(bench, baseline, bench_path="<bench>", baseline_path="<baseline>",
             continue
         if key not in series:
             failures.append(
-                f"missing lane '{key}' in {bench_path} -- the bench run "
+                f"missing lane '{key}' in {bench_paths} -- the bench run "
                 "did not produce this series (crashed early, or the "
                 "workload/mode/threads key changed?)")
             continue
@@ -116,9 +124,9 @@ def self_test() -> int:
     """Run the guard against synthetic fixtures; 0 iff all behave."""
     import io
 
-    def run(bench, baseline):
-        return check(bench, baseline, "bench.json", "base.json",
-                     out=io.StringIO())
+    def run(bench, baseline, more=None):
+        benches = {"bench.json": bench, **(more or {})}
+        return check(benches, baseline, "base.json", out=io.StringIO())
 
     lane = {"workload": "counter", "mode": "solo", "threads": 1,
             "steps_per_op": 3.0}
@@ -154,6 +162,12 @@ def self_test() -> int:
          ["no 'baseline'"]),
         ("baseline without 'baselines' named",
          run(good_bench, {}), ["no 'baselines' object"]),
+        ("lanes of a second bench file checked too",
+         run(good_bench,
+             {"baselines": {"counter|solo|1": 3.0, "tree|sim-pct|4": 5.0}},
+             {"sim.json": {"series": [{"workload": "tree", "mode": "sim-pct",
+                                       "threads": 4, "steps_per_op": 6.0}]}}),
+         ["tree|sim-pct|4: steps/op 6.00 exceeds"]),
     ]
 
     bad = 0
@@ -175,22 +189,27 @@ def self_test() -> int:
 def main() -> int:
     if len(sys.argv) > 1 and sys.argv[1] == "--self-test":
         return self_test()
-    if len(sys.argv) < 2:
+    args = sys.argv[1:]
+    baseline_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "perf_baseline.json")
+    if "--baseline" in args:
+        i = args.index("--baseline")
+        if i + 1 == len(args):
+            print(__doc__)
+            return 2
+        baseline_path = args[i + 1]
+        del args[i:i + 2]
+    if not args:
         print(__doc__)
         return 2
-    bench_path = sys.argv[1]
-    baseline_path = (
-        sys.argv[2]
-        if len(sys.argv) > 2
-        else os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "perf_baseline.json")
-    )
-    with open(bench_path) as f:
-        bench = json.load(f)
+    benches = {}
+    for bench_path in args:
+        with open(bench_path) as f:
+            benches[bench_path] = json.load(f)
     with open(baseline_path) as f:
         baseline = json.load(f)
 
-    failures = check(bench, baseline, bench_path, baseline_path)
+    failures = check(benches, baseline, baseline_path)
     if failures:
         print("\nperf-smoke regression guard FAILED:")
         for f_ in failures:

@@ -18,7 +18,8 @@
 // FArrayCounter is a SumFArray; downstream users reach for the class
 // directly (min/max watermarks, monotone bitmask unions).  Algorithm A's
 // TreeMaxRegister keeps the paper's binary tree and its own cells
-// (ruco/maxreg/tree_max_register.h).
+// (ruco/maxreg/tree_max_register.h) but runs the same loop with
+// ValueNode<MaxCombine>.
 //
 // Wide tree.  Slot i is leaf i, and node j of a level aggregates nodes
 // 8j .. 8j+7 of the level below, in one line-aligned
@@ -44,6 +45,40 @@
 
 namespace ruco::farray {
 
+struct MaxCombine {
+  Value operator()(Value l, Value r) const noexcept {
+    return l > r ? l : r;
+  }
+};
+struct MinCombine {
+  Value operator()(Value l, Value r) const noexcept {
+    return l < r ? l : r;
+  }
+};
+struct SumCombine {
+  Value operator()(Value l, Value r) const noexcept { return l + r; }
+};
+struct OrCombine {  // monotone bitmask union
+  Value operator()(Value l, Value r) const noexcept { return l | r; }
+};
+
+/// propagate_wide's node operations for Value cells: fold `combine` over
+/// the children, skip a CAS that would not change the node, nothing to
+/// dispose of.
+template <typename Combine>
+struct ValueNode {
+  static constexpr bool kSkipUnchanged = true;
+  [[no_unique_address]] Combine combine;
+
+  Value merge(const Value* children, std::uint32_t count) const {
+    Value v = children[0];
+    for (std::uint32_t c = 1; c < count; ++c) v = combine(v, children[c]);
+    return v;
+  }
+  void installed(Value /*replaced*/) const noexcept {}
+  void discarded(Value /*merged*/) const noexcept {}
+};
+
 template <typename Combine>
 class FArray {
  public:
@@ -63,7 +98,7 @@ class FArray {
     // (wide_propagate.h); as a release it also publishes v to every
     // refresher's child load.
     cells_[slot].store(v, std::memory_order_seq_cst);
-    propagate_wide<Value>(levels_, cells_, slot, node_);
+    propagate_wide(WideWalk{levels_, slot}, cells_, node_);
   }
 
   /// The aggregate over all slots.  One step.
@@ -98,42 +133,10 @@ class FArray {
   }
 
  private:
-  // propagate_wide's node operations for Value cells: fold the combine,
-  // skip a CAS that would not change the node, nothing to dispose of.
-  struct Node {
-    static constexpr bool kSkipUnchanged = true;
-    [[no_unique_address]] Combine combine;
-
-    Value merge(const Value* children, std::uint32_t count) const {
-      Value v = children[0];
-      for (std::uint32_t c = 1; c < count; ++c) v = combine(v, children[c]);
-      return v;
-    }
-    void installed(Value /*replaced*/) const noexcept {}
-    void discarded(Value /*merged*/) const noexcept {}
-  };
-
   std::vector<Level> levels_;
   std::uint32_t root_;  // levels_.back().offset
   runtime::DenseAtomicArray<Value> cells_;
-  Node node_;
-};
-
-struct MaxCombine {
-  Value operator()(Value l, Value r) const noexcept {
-    return l > r ? l : r;
-  }
-};
-struct MinCombine {
-  Value operator()(Value l, Value r) const noexcept {
-    return l < r ? l : r;
-  }
-};
-struct SumCombine {
-  Value operator()(Value l, Value r) const noexcept { return l + r; }
-};
-struct OrCombine {  // monotone bitmask union
-  Value operator()(Value l, Value r) const noexcept { return l | r; }
+  ValueNode<Combine> node_;
 };
 
 /// Max over slots: slot updates must be non-decreasing.

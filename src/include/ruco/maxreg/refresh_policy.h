@@ -1,6 +1,7 @@
 // Refresh policy of the simulation-layer and weak-memory models of the
 // Jayanti-style double-refresh propagation loop.  Production code
-// (ruco/maxreg/propagate.h) always runs kConditional.
+// (farray::propagate_wide, ruco/farray/wide_propagate.h) always runs
+// kConditional.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@ namespace ruco::maxreg {
 /// combine produces the value the node already holds); kAlwaysTwice is the
 /// unconditional variant the seed shipped, kept as the differential oracle
 /// the model-checker equivalence tests and ablation benches compare
-/// against.  See propagate.h for the soundness argument.
+/// against.  See wide_propagate.h for the soundness argument.
 enum class RefreshPolicy : std::uint8_t {
   kConditional,  // skip round 2 after a won CAS; skip no-change CASes
   kAlwaysTwice,  // unconditional two CAS rounds per level (oracle)

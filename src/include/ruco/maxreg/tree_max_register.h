@@ -8,7 +8,8 @@
 // small operands v < N; the right subtree TR is a complete binary tree whose
 // i-th leaf (depth O(log N)) receives process i's writes of large operands
 // v >= N.  A write stores its operand at the chosen leaf and propagates the
-// max up to the root with the double-CAS loop (maxreg::propagate_twice).
+// max up to the root with the double-CAS loop every tree shares
+// (farray::propagate_wide over a farray::TreeWalk).
 // The nodes of util::algorithm_a_shape are 8-byte cells packed eight to a
 // line (runtime::DenseAtomicArray) and indexed by the shape's NodeId; leaf
 // ordinal v < N is value leaf v and ordinal N + i is process i's leaf
@@ -78,9 +79,6 @@ class TreeMaxRegister {
   }
 
  private:
-  /// Refreshes the path above leaf `leaf` (a NodeId).
-  void propagate(util::TreeShape::NodeId leaf);
-
   util::TreeShape shape_;
   runtime::DenseAtomicArray<Value> values_;
   Faithfulness mode_;

@@ -9,8 +9,9 @@
 //     allocation that starts on a line boundary, eight 8-byte cells per
 //     line.  For the trees: the 8-ary f-arrays (farray::FArray, the
 //     f-array counter, and the view pointers of the f-array snapshot),
-//     whose eight siblings fill one line (ruco/farray/wide_propagate.h),
-//     and Algorithm A's binary tree (maxreg::TreeMaxRegister).
+//     whose eight siblings fill one line, and Algorithm A's binary tree
+//     (maxreg::TreeMaxRegister); one loop refreshes them all
+//     (ruco/farray/wide_propagate.h).
 //
 // Trees are not padded, because a propagation level reads a node and its
 // children together.  Padded, a binary level is three lines, and a

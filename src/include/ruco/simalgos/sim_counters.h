@@ -15,17 +15,6 @@
 
 namespace ruco::simalgos {
 
-/// The wide loop of ruco/farray/wide_propagate.h over simulated memory:
-/// at every level above leaf `leaf` of `levels`, up to two rounds of (read
-/// the node, read each child, CAS in the `combine` fold of the children).
-/// `objects[i]` backs cell i.  kConditional mirrors production: a fold
-/// equal to the node value skips the CAS and a won CAS ends the level.
-/// kAlwaysTwice runs both rounds at every level.
-[[nodiscard]] sim::Op propagate_wide(
-    sim::Ctx& ctx, const std::vector<farray::Level>& levels,
-    const std::vector<sim::ObjectId>& objects, std::uint32_t leaf,
-    Value (*combine)(Value, Value), maxreg::RefreshPolicy policy);
-
 /// Jayanti f-array counter over simulated memory (CAS variant): read O(1),
 /// increment O(log N), over the same 8-ary levels and root rule as
 /// counter::FArrayCounter (farray::wide_levels).  Unlike the production

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ruco/core/types.h"
+#include "ruco/farray/wide_propagate.h"
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/maxreg/tree_max_register.h"  // Faithfulness
 #include "ruco/sim/op.h"
@@ -19,21 +20,19 @@
 
 namespace ruco::simalgos {
 
-/// The double-refresh loop of ruco/maxreg/propagate.h over simulated
-/// memory, Algorithm A's binary tree (the f-array counter twin runs the
-/// 8-ary simalgos::propagate_wide): at every
-/// node from the parent of `start` up to the root of `shape`, up to
-/// `attempts` rounds of (read the node, read both children, CAS in
-/// `combine` of the children).  `objects[n]` backs node n.  kConditional
-/// mirrors production: a combine equal to the node value skips the CAS and
-/// a won CAS ends the level.  kAlwaysTwice runs every round.
-[[nodiscard]] sim::Op propagate_twice(sim::Ctx& ctx,
-                                      const util::TreeShape& shape,
-                                      const std::vector<sim::ObjectId>& objects,
-                                      util::TreeShape::NodeId start,
-                                      Value (*combine)(Value, Value),
-                                      maxreg::RefreshPolicy policy,
-                                      int attempts = 2);
+/// The loop of ruco/farray/wide_propagate.h over simulated memory, for
+/// both walkers (farray::WideWalk, farray::TreeWalk): for every family
+/// `walk` yields, up to `rounds` rounds of (read the node, read each
+/// child, CAS in the `combine` fold of the children).  `objects[i]` backs
+/// cell i.  kConditional mirrors production: a fold equal to the node
+/// value skips the CAS and a won CAS ends the level.  kAlwaysTwice runs
+/// every round.
+template <typename Walk>
+[[nodiscard]] sim::Op propagate_wide(sim::Ctx& ctx, Walk walk,
+                                     const std::vector<sim::ObjectId>& objects,
+                                     Value (*combine)(Value, Value),
+                                     maxreg::RefreshPolicy policy,
+                                     int rounds = 2);
 
 /// Algorithm A over simulated memory.  See maxreg::TreeMaxRegister.
 ///
@@ -44,10 +43,10 @@ namespace ruco::simalgos {
 /// exhibit the violation), with 2 (the default) the algorithm is correct.
 ///
 /// `policy` mirrors the production conditional-refresh pruning (see
-/// ruco/maxreg/propagate.h): kConditional skips the second round when the
-/// first CAS wins and skips the CAS entirely when the recomputed max equals
-/// the node's current value; kAlwaysTwice is the paper-literal shape.  The
-/// model checker verifies both reach the same linearizations
+/// ruco/farray/wide_propagate.h): kConditional skips the second round when
+/// the first CAS wins and skips the CAS entirely when the recomputed max
+/// equals the node's current value; kAlwaysTwice is the paper-literal
+/// shape.  The model checker verifies both reach the same linearizations
 /// (hotpath_test).
 class SimTreeMaxRegister {
  public:

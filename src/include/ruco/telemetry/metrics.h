@@ -18,7 +18,7 @@ struct ProdMetrics {
   // maxreg: CAS-loop behavior of the max register family.
   Counter maxreg_cas_attempts;   // CAS issued by CasMaxRegister::write_max
   Counter maxreg_cas_failures;   // ... that lost the race
-  // propagate_*: propagate_twice and the wide loop (farray::propagate_wide).
+  // propagate_*: the one propagation loop (farray::propagate_wide).
   Counter propagate_cas_attempts;  // CASes actually issued
   Counter propagate_cas_failures;
   Counter propagate_levels;        // tree levels walked

@@ -8,9 +8,10 @@
 // engineering"):
 //
 //   propagate-counter/{conditional,always-twice}
-//       `propagate_twice` (ruco/maxreg/propagate.h) on a 2-leaf tree
-//       with two concurrent increments, both RefreshPolicy variants, at
-//       its seq_cst sites.
+//       The propagation loop (ruco/farray/wide_propagate.h) on a 2-leaf
+//       binary tree, as farray::TreeWalk walks Algorithm A's tree, with
+//       two concurrent increments, both RefreshPolicy variants, at its
+//       seq_cst sites.
 //       Invariants: no lost increment (final node == 2) and no
 //       monotonicity regression (the node's modification order is
 //       nondecreasing) -- the PR-4 node-load bug class.
@@ -63,9 +64,9 @@
 //       check stands for the grace period.  Invariant: the free never
 //       races the read.
 //
-// Four more kernels check the wide and binary loops' seq_cst sites
-// against the store-buffering execution that acquire/release allows (they
-// are not part of protocol_kernels()):
+// Four more kernels check the loop's seq_cst sites, over 8-ary and binary
+// nodes, against the store-buffering execution that acquire/release
+// allows (they are not part of protocol_kernels()):
 //
 //   propagate-wide
 //       One node over three leaves, one increment per leaf, the wide
@@ -77,20 +78,21 @@
 //       f-array counter's loop).
 //
 //   propagate-counter/repeat
-//       propagate_twice on a 2-leaf tree where one writer increments
+//       The loop on a 2-leaf binary tree where one writer increments
 //       twice and the other once.  Invariants: final node == 3, monotone
 //       node.  At release/acquire it loses an increment.
 //
 //   propagate-max/repeat
-//       propagate_twice with Algorithm A's max on a 2-leaf tree: owner A
+//       The loop with Algorithm A's max on a 2-leaf tree: owner A
 //       writes 1 then 2, owner B writes 3.  Invariants: final node == 3,
 //       monotone node.  At release/acquire it loses B's write (final 2).
 //
 // mutation_sites() weakens each load-bearing mo_* use-site one at a
 // time; run_mutation_driver() asserts the explorer exhibits a concrete
 // violating execution for every one of them -- machine-proving the
-// order table sound *and* minimal.  The PR-4 `propagate_twice` node
-// load (acquire -> relaxed) is a permanently pinned must-fail site.
+// order table sound *and* minimal.  The loop's node load weakened to
+// relaxed (an early hot-path regression on the binary tree) is a
+// permanently pinned must-fail site.
 #pragma once
 
 #include <atomic>
@@ -105,7 +107,7 @@
 namespace ruco::wmm {
 
 /// Per-site orders of the propagation protocol, defaulting to the shipped
-/// ones (ruco/maxreg/propagate.h, ruco/farray/wide_propagate.h): seq_cst at
+/// ones (ruco/farray/wide_propagate.h): seq_cst at
 /// the leaf store, the node load, the child loads and the success CAS,
 /// relaxed on CAS failure.  Those are literal, not mo_*: they are already
 /// the strongest, so every build checks the same protocol.  The root read
@@ -120,9 +122,10 @@ struct PropagateOrders {
   std::memory_order root_read = runtime::mo_acquire;
 };
 
-/// The release/acquire orders the binary loop shipped before its four
-/// sites became seq_cst: release leaf store and success CAS, acquire node
-/// and child loads.  Kept to pin the store-buffering executions they allow.
+/// The release/acquire orders Algorithm A's binary tree propagated with
+/// before the four sites became seq_cst: release leaf store and success
+/// CAS, acquire node and child loads.  Kept to pin the store-buffering
+/// executions they allow.
 PropagateOrders release_acquire_orders();
 
 /// Per-site orders of the MCAS descriptor-publication pattern,

@@ -3,7 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ruco/maxreg/propagate.h"
+#include "ruco/farray/farray.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
@@ -19,11 +19,6 @@ TreeMaxRegister::TreeMaxRegister(std::uint32_t num_processes,
 Value TreeMaxRegister::read_max(ProcId /*proc*/) const {
   runtime::step_tick();
   return values_[shape_.root()].load(runtime::mo_acquire);
-}
-
-void TreeMaxRegister::propagate(util::TreeShape::NodeId leaf) {
-  propagate_twice(shape_, values_, leaf,
-                  [](Value l, Value r) { return l > r ? l : r; });
 }
 
 void TreeMaxRegister::write_max(ProcId proc, Value v) {
@@ -52,14 +47,15 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
     // propagated yet and this (completed) operation could be missed by a
     // subsequent ReadMax.
     telemetry::prod().tree_duplicate_writes.inc();
-    if (mode_ == Faithfulness::kHelpOnDuplicate) propagate(leaf);
-    return;
+    if (mode_ == Faithfulness::kAsPrinted) return;
+  } else {
+    runtime::step_tick();
+    // seq_cst, with the loop's node and child loads and success CAS
+    // (ruco/farray/wide_propagate.h).
+    values_[leaf].store(v, std::memory_order_seq_cst);
   }
-  runtime::step_tick();
-  // seq_cst, with propagate_twice's node and child loads and success CAS
-  // (ruco/maxreg/propagate.h).
-  values_[leaf].store(v, std::memory_order_seq_cst);
-  propagate(leaf);
+  farray::propagate_wide(farray::TreeWalk{shape_, leaf}, values_,
+                         farray::ValueNode<farray::MaxCombine>{});
 }
 
 std::uint32_t TreeMaxRegister::write_leaf_depth(ProcId proc, Value v) const {

@@ -1,41 +1,9 @@
 #include "ruco/simalgos/sim_counters.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace ruco::simalgos {
-
-// ------------------------------------------------------- wide propagation
-
-sim::Op propagate_wide(sim::Ctx& ctx, const std::vector<farray::Level>& levels,
-                       const std::vector<sim::ObjectId>& objects,
-                       std::uint32_t leaf, Value (*combine)(Value, Value),
-                       maxreg::RefreshPolicy policy) {
-  // The protocol and its pruning argument are in farray/wide_propagate.h.
-  const bool conditional = policy == maxreg::RefreshPolicy::kConditional;
-  std::uint32_t index = leaf;
-  for (std::size_t l = 1; l < levels.size(); ++l) {
-    const farray::Level below = levels[l - 1];
-    index /= farray::kFanOut;
-    const std::uint32_t first = below.offset + index * farray::kFanOut;
-    const std::uint32_t last =
-        below.offset + std::min(below.count, (index + 1) * farray::kFanOut);
-    const sim::ObjectId node = objects[levels[l].offset + index];
-    for (int round = 0; round < 2; ++round) {
-      const Value old_value = co_await ctx.read(node);
-      Value merged = co_await ctx.read(objects[first]);
-      for (std::uint32_t c = first + 1; c < last; ++c) {
-        const Value child = co_await ctx.read(objects[c]);
-        merged = combine(merged, child);
-      }
-      if (conditional && merged == old_value) break;
-      const Value ok = co_await ctx.cas(node, old_value, merged);
-      if (conditional && ok != 0) break;
-    }
-  }
-  co_return 0;
-}
 
 // ------------------------------------------------------------ f-array (sum)
 
@@ -65,7 +33,8 @@ sim::Op SimFArrayCounter::increment(sim::Ctx& ctx) const {
   const std::uint32_t leaf = ctx.id();
   const Value mine = co_await ctx.read(objects_[leaf]);
   co_await ctx.write(objects_[leaf], mine + 1);
-  co_await propagate_wide(ctx, levels_, objects_, leaf, combine_sum, policy_);
+  co_await propagate_wide(ctx, farray::WideWalk{levels_, leaf}, objects_,
+                          combine_sum, policy_);
   co_return 0;
 }
 

@@ -8,31 +8,43 @@
 
 namespace ruco::simalgos {
 
-// ------------------------------------------------------ shared propagation
+// ------------------------------------------------- the propagation loop
 
-sim::Op propagate_twice(sim::Ctx& ctx, const util::TreeShape& shape,
-                        const std::vector<sim::ObjectId>& objects,
-                        util::TreeShape::NodeId start,
-                        Value (*combine)(Value, Value),
-                        maxreg::RefreshPolicy policy, int attempts) {
+template <typename Walk>
+sim::Op propagate_wide(sim::Ctx& ctx, Walk walk,
+                       const std::vector<sim::ObjectId>& objects,
+                       Value (*combine)(Value, Value),
+                       maxreg::RefreshPolicy policy, int rounds) {
   // Paper Algorithm A, lines 3-9; the pruning argument is in
-  // ruco/maxreg/propagate.h.
+  // ruco/farray/wide_propagate.h.
   const bool conditional = policy == maxreg::RefreshPolicy::kConditional;
-  auto n = start;
-  while (shape.parent(n) != util::TreeShape::kNil) {
-    n = shape.parent(n);
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      const Value old_value = co_await ctx.read(objects[n]);
-      const Value l = co_await ctx.read(objects[shape.left(n)]);
-      const Value r = co_await ctx.read(objects[shape.right(n)]);
-      const Value new_value = combine(l, r);
-      if (conditional && new_value == old_value) break;
-      const Value ok = co_await ctx.cas(objects[n], old_value, new_value);
+  for (farray::Family family{}; walk.next(family);) {
+    const sim::ObjectId node = objects[family.node];
+    for (int round = 0; round < rounds; ++round) {
+      const Value old_value = co_await ctx.read(node);
+      std::uint32_t child = family.first;
+      Value merged = co_await ctx.read(objects[child]);
+      for (std::uint32_t c = 1; c < family.count; ++c) {
+        child += family.stride;
+        const Value value = co_await ctx.read(objects[child]);
+        merged = combine(merged, value);
+      }
+      if (conditional && merged == old_value) break;
+      const Value ok = co_await ctx.cas(node, old_value, merged);
       if (conditional && ok != 0) break;
     }
   }
   co_return 0;
 }
+
+template sim::Op propagate_wide(sim::Ctx&, farray::WideWalk,
+                                const std::vector<sim::ObjectId>&,
+                                Value (*)(Value, Value), maxreg::RefreshPolicy,
+                                int);
+template sim::Op propagate_wide(sim::Ctx&, farray::TreeWalk,
+                                const std::vector<sim::ObjectId>&,
+                                Value (*)(Value, Value), maxreg::RefreshPolicy,
+                                int);
 
 // ---------------------------------------------------------------- Algorithm A
 
@@ -72,15 +84,12 @@ sim::Op SimTreeMaxRegister::write_max(sim::Ctx& ctx, Value v) const {
   const auto leaf = shape_.leaf(util::algorithm_a_leaf(n_, ctx.id(), v));
   const Value old_value = co_await ctx.read(objects_[leaf]);
   if (v <= old_value) {
-    if (mode_ == maxreg::Faithfulness::kHelpOnDuplicate) {
-      co_await propagate_twice(ctx, shape_, objects_, leaf, combine_max,
-                               policy_, propagate_attempts_);
-    }
-    co_return 0;
+    if (mode_ == maxreg::Faithfulness::kAsPrinted) co_return 0;
+  } else {
+    co_await ctx.write(objects_[leaf], v);
   }
-  co_await ctx.write(objects_[leaf], v);
-  co_await propagate_twice(ctx, shape_, objects_, leaf, combine_max, policy_,
-                           propagate_attempts_);
+  co_await propagate_wide(ctx, farray::TreeWalk{shape_, leaf}, objects_,
+                          combine_max, policy_, propagate_attempts_);
   co_return 0;
 }
 

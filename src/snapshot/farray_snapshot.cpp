@@ -1,6 +1,5 @@
 #include "ruco/snapshot/farray_snapshot.h"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstring>
@@ -40,16 +39,13 @@ FArraySnapshot::FArraySnapshot(std::uint32_t num_processes)
   }
   std::array<const View*, kFanOut> children{};
   for (std::size_t l = 1; l < levels_.size(); ++l) {
-    const farray::Level& below = levels_[l - 1];
     for (std::uint32_t j = 0; j < levels_[l].count; ++j) {
-      const std::uint32_t first = j * kFanOut;
-      const std::uint32_t count = std::min(kFanOut, below.count - first);
-      for (std::uint32_t c = 0; c < count; ++c) {
-        children[c] =
-            nodes_[below.offset + first + c].load(std::memory_order_relaxed);
+      const farray::Family f = farray::wide_family(levels_, l, j);
+      for (std::uint32_t c = 0; c < f.count; ++c) {
+        children[c] = nodes_[f.first + c].load(std::memory_order_relaxed);
       }
-      nodes_[levels_[l].offset + j].store(Node::merge(children.data(), count),
-                                          std::memory_order_relaxed);
+      nodes_[f.node].store(Node::merge(children.data(), f.count),
+                           std::memory_order_relaxed);
     }
   }
 }
@@ -95,8 +91,7 @@ void FArraySnapshot::update(ProcId proc, Value v) {
   // new View to every refresher's child load and to scan when N = 1.
   nodes_[proc].store(leaf_view, std::memory_order_seq_cst);
   reclaim::retire(const_cast<View*>(old_leaf), &View::destroy);
-  Node node;
-  farray::propagate_wide<const View*>(levels_, nodes_, proc, node);
+  farray::propagate_wide(farray::WideWalk{levels_, proc}, nodes_, Node{});
 }
 
 void FArraySnapshot::Node::installed(const View* replaced) noexcept {

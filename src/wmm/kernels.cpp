@@ -60,12 +60,13 @@ Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
   k.name = conditional ? "propagate-counter/conditional"
                        : "propagate-counter/always-twice";
   k.description =
-      "propagate_twice on a 2-leaf tree, two concurrent increments";
+      "the propagation loop on a 2-leaf binary tree, two concurrent "
+      "increments";
   auto node = k.program.atomic<Value>("node", 0);  // loc 0
   auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
   auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
   // One writer per leaf: store the increment, then the propagate loop
-  // transcribed from ruco/maxreg/propagate.h (combine = sum).
+  // transcribed from ruco/farray/wide_propagate.h (combine = sum).
   auto writer = [=](Atomic<Value> leaf) {
     return [=] {
       leaf.store(1, o.leaf_store);
@@ -194,8 +195,8 @@ namespace {
 
 // A 2-leaf tree where owner A writes `a_writes` in turn to leaf 0 and
 // owner B writes `b_write` to leaf 1, each write followed by the
-// conditional loop of ruco/maxreg/propagate.h with `combine`.  Invariants:
-// the node is monotone and ends at `expected`.
+// conditional loop of ruco/farray/wide_propagate.h with `combine`.
+// Invariants: the node is monotone and ends at `expected`.
 Kernel make_repeat_kernel(std::string name, std::string description,
                           const PropagateOrders& o, Value (*combine)(Value, Value),
                           std::vector<Value> a_writes, Value b_write,
@@ -245,16 +246,16 @@ Kernel make_repeat_kernel(std::string name, std::string description,
 Kernel make_propagate_repeat_kernel(const PropagateOrders& o) {
   return make_repeat_kernel(
       "propagate-counter/repeat",
-      "propagate_twice on a 2-leaf tree: one writer increments twice, the "
-      "other once",
+      "the propagation loop on a 2-leaf binary tree: one writer increments "
+      "twice, the other once",
       o, [](Value l, Value r) { return l + r; }, {1, 2}, 1, 3);
 }
 
 Kernel make_propagate_max_repeat_kernel(const PropagateOrders& o) {
   return make_repeat_kernel(
       "propagate-max/repeat",
-      "Algorithm A's propagate_twice on a 2-leaf tree: one owner writes 1 "
-      "then 2, the other writes 3",
+      "the propagation loop with Algorithm A's max on a 2-leaf tree: one "
+      "owner writes 1 then 2, the other writes 3",
       o, [](Value l, Value r) { return l > r ? l : r; }, {1, 2}, 3, 3);
 }
 

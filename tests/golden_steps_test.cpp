@@ -19,10 +19,10 @@ std::uint64_t steps(F&& f) {
 
 TEST(GoldenSteps, TreeMaxRegisterWrites) {
   // N = 16; fresh register per case.  Conditional refresh (see
-  // ruco/maxreg/propagate.h): solo, every first-round CAS wins and prunes
-  // the second round, so a level costs 4 events (node + 2 children + CAS)
-  // instead of the paper-literal 8.  Total = 1 root-fastpath read + 2 leaf
-  // events + 4 x depth.
+  // ruco/farray/wide_propagate.h): solo, every first-round CAS wins and
+  // prunes the second round, so a level costs 4 events (node + 2 children
+  // + CAS) instead of the paper-literal 8.  Total = 1 root-fastpath read +
+  // 2 leaf events + 4 x depth.
   {
     maxreg::TreeMaxRegister r{16};
     EXPECT_EQ(steps([&] { r.write_max(0, 0); }), 11u);  // leaf 0: depth 2

@@ -20,8 +20,8 @@
 // acquire/release mistake that only misbehaves on ARM/POWER is invisible
 // to all three.  Those orders are argued in writing per site (DESIGN.md
 // "What the certification covers"; the synchronizes-with argument for the
-// pruning decisions is in propagate.h), and RUCO_SEQCST_ATOMICS=ON
-// collapses them all to seq_cst -- CI's seqcst-fallback job compiles and
+// pruning decisions is in farray/wide_propagate.h), and
+// RUCO_SEQCST_ATOMICS=ON collapses them all to seq_cst -- CI's seqcst-fallback job compiles and
 // runs this suite in that configuration so weak-memory targets always
 // have a machine-validated build.
 #include <gtest/gtest.h>

@@ -171,31 +171,41 @@ TEST(StepParity, UnboundedAacSoloStepsMatchProduction) {
 // ------------------------------------------------- solo step equality
 
 TEST(StepParity, TreeWriteMaxSoloStepsMatchProduction) {
-  constexpr std::uint32_t n = 16;
-  struct Write {
-    ProcId proc;
-    Value v;
-  };
-  // The last write lands on a process leaf of a nonzero process.
-  for (const Write w : {Write{3, 0}, Write{3, 1}, Write{3, 7}, Write{3, 15},
-                        Write{3, 100}, Write{11, 100}}) {
-    maxreg::TreeMaxRegister prod{n};
-    runtime::StepScope scope;
-    prod.write_max(w.proc, w.v);
-    const auto prod_steps = scope.taken();
+  // Every value leaf and every process leaf at the N of
+  // TreeMaxRegisterSteps.SoloWriteCostsThreePlusFourPerLevelOnEveryLeaf.
+  // Both layers walk the tree with farray::TreeWalk; on the B1 spine a
+  // node's right child has a lower id than its left, so a walker that read
+  // children by position would merge the wrong cells and leave a root
+  // other than v.
+  for (const std::uint32_t n : {1u, 2u, 3u, 16u, 100u}) {
+    const auto expect_parity = [n](ProcId proc, Value v) {
+      maxreg::TreeMaxRegister prod{n};
+      runtime::StepScope scope;
+      prod.write_max(proc, v);
+      const auto prod_steps = scope.taken();
 
-    sim::Program prog;
-    SimTreeMaxRegister reg{prog, n, Faithfulness::kHelpOnDuplicate};
-    for (ProcId p = 0; p <= w.proc; ++p) {
-      prog.add_process([&reg, w, p](sim::Ctx& ctx) -> sim::Op {
-        if (p == w.proc) co_await reg.write_max(ctx, w.v);
-        co_return 0;
-      });
+      sim::Program prog;
+      SimTreeMaxRegister reg{prog, n, Faithfulness::kHelpOnDuplicate};
+      for (ProcId p = 0; p <= proc; ++p) {
+        prog.add_process([&reg, proc, p, v](sim::Ctx& ctx) -> sim::Op {
+          if (p == proc) co_await reg.write_max(ctx, v);
+          co_return 0;
+        });
+      }
+      sim::System sys{prog};
+      sim::run_solo(sys, proc, 10'000);
+      EXPECT_EQ(sys.steps_taken(proc), prod_steps)
+          << "N=" << n << " p=" << proc << " v=" << v;
+      EXPECT_EQ(prod.read_max(proc), v);
+      EXPECT_EQ(sys.value(reg.root_object()), v)
+          << "N=" << n << " p=" << proc << " v=" << v;
+    };
+    for (Value v = 0; v < static_cast<Value>(n); ++v) {  // value leaves
+      expect_parity(static_cast<ProcId>(v), v);
     }
-    sim::System sys{prog};
-    sim::run_solo(sys, w.proc, 10'000);
-    EXPECT_EQ(sys.steps_taken(w.proc), prod_steps)
-        << "p=" << w.proc << " v=" << w.v;
+    for (ProcId p = 0; p < n; ++p) {  // process leaves
+      expect_parity(p, static_cast<Value>(n) + p);
+    }
   }
 }
 

@@ -13,8 +13,8 @@
 //      every RC11-consistent execution, search complete.
 //   4. Mutation driver: weakening any load-bearing site must
 //      exhibit a concrete violating execution -- including the PR-4
-//      `propagate_twice` node-load acquire->relaxed bug as a permanent
-//      must-fail regression.
+//      node-load acquire->relaxed bug of the propagation loop on a binary
+//      node as a permanent must-fail regression.
 //   5. Minimality: sites the order table deliberately does NOT
 //      strengthen (counter-kernel child loads, CAS failure order) stay
 //      clean when relaxed -- the table is sound *and* minimal.
@@ -419,8 +419,9 @@ TEST(WmmMutation, WideSitesAllHaveViolatingExecutions) {
 }
 
 TEST(WmmKernels, BinaryFArrayOrdersLoseARepeatedIncrement) {
-  // The store-buffering gap the binary loop had at release/acquire: a
-  // writer that increments twice loses an increment under RC11.  The
+  // The store-buffering gap the loop has on a binary node at
+  // release/acquire: a writer that increments twice loses an increment
+  // under RC11.  The
   // shipped orders (PropagateOrders{}, the same in every build) are the
   // four seq_cst sites and do not.
   const wmm::ExploreResult weak = wmm::check_kernel(
@@ -478,9 +479,9 @@ TEST(WmmKernels, ReclaimKernelSeesBothSidesOfTheRace) {
 }
 
 TEST(WmmMutation, Pr4NodeLoadRegressionStaysMustFail) {
-  // The permanent regression litmus: propagate_twice with the node load
-  // weakened back to relaxed (the exact PR-4 bug) must exhibit a lost
-  // increment or monotonicity regression on the conditional policy.
+  // The permanent regression litmus: the loop on a binary node with the
+  // node load weakened back to relaxed (the exact PR-4 bug) must exhibit a
+  // lost increment or monotonicity regression on the conditional policy.
   wmm::PropagateOrders weak;
   weak.node_load = std::memory_order_relaxed;
   const wmm::Kernel kernel = wmm::make_propagate_counter_kernel(
