@@ -5,10 +5,13 @@
 //   (b) the violation rate random schedules expose for attempts = 1 vs the
 //       zero violations for attempts = 2.
 //
-//   --json <path>  instead, run the deterministic perf-smoke lane and write
-//                  it in the series schema of scripts/check_perf_smoke.py:
-//                  4 writers of fresh maxima on a SimTreeMaxRegister under
-//                  seeded PCT schedules (lane "tree maxreg (Alg A)|sim-pct|4").
+//   --json <path>  instead, run the deterministic perf-smoke lanes and
+//                  write them in the series schema of
+//                  scripts/check_perf_smoke.py, each under the same seeded
+//                  PCT schedules: 4 writers of fresh maxima on a
+//                  SimTreeMaxRegister (lane "tree maxreg (Alg A)|sim-pct|4")
+//                  and 4 incrementers of a SimFArrayCounter (lane
+//                  "f-array counter|sim-pct|4").
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -22,6 +25,7 @@
 #include "ruco/lincheck/specs.h"
 #include "ruco/sim/schedulers.h"
 #include "ruco/sim/system.h"
+#include "ruco/simalgos/sim_counters.h"
 #include "ruco/simalgos/sim_max_registers.h"
 #include "ruco/util/rng.h"
 
@@ -29,6 +33,7 @@ namespace {
 
 using ruco::ProcId;
 using ruco::Value;
+using ruco::simalgos::SimFArrayCounter;
 using ruco::simalgos::SimTreeMaxRegister;
 
 struct SweepResult {
@@ -86,38 +91,44 @@ SweepResult sweep(int attempts, int seeds) {
   return out;
 }
 
-// Writer t's k-th write is k * kWriters + t, as in bench_hw_throughput
+// Each lane runs kProcs processes of kOpsEach operations on one object.
+// Writer t's k-th write is k * kProcs + t, as in bench_hw_throughput
 // --contend: values interleave across writers, so a write propagates
-// unless a faster writer already put a larger value at the root.  A PCT
-// schedule is a function of its seed, so steps per write are exact and
-// the lane can be held to the guard's tight tolerance.  The budget
-// estimate kPctSteps puts PCT's kPctDepth - 1 priority change points in
-// the first quarter of it, inside runs of about 370 steps; a run that
-// reached the budget would be cut short, and the lane reports it.
+// unless a faster writer already put a larger value at the root; every
+// increment propagates.  A PCT schedule is a function of its seed, so
+// steps per operation are exact and the lanes can be held to the guard's
+// tight tolerance.  The budget estimate kPctSteps puts PCT's kPctDepth - 1
+// priority change points in the first quarter of it, inside runs of about
+// 374 (max register) and 527 (counter) steps; a run that reached the budget
+// would be cut short, and the lane reports it.
 struct PctLane {
-  static constexpr ruco::ProcId kWriters = 4;
-  static constexpr Value kWritesEach = 16;
+  static constexpr ruco::ProcId kProcs = 4;
+  static constexpr Value kOpsEach = 16;
   static constexpr std::uint64_t kSeeds = 64;
   static constexpr std::uint32_t kPctDepth = 6;
   static constexpr std::uint64_t kPctSteps = 1024;
+  const char* workload;
   std::uint64_t steps = 0;
-  std::uint64_t writes = 0;
+  std::uint64_t ops = 0;
   bool complete = true;
 };
 
-PctLane pct_lane() {
-  PctLane lane;
+// `make(prog)` builds the object; `operation(object, ctx, v)` is one
+// operation of it, with v the write operand described above.
+template <class Make, class Operation>
+PctLane pct_lane(const char* workload, Make make, Operation operation) {
+  PctLane lane{workload};
   for (std::uint64_t seed = 1; seed <= PctLane::kSeeds; ++seed) {
     ruco::sim::Program prog;
-    SimTreeMaxRegister reg{prog, PctLane::kWriters,
-                           ruco::maxreg::Faithfulness::kHelpOnDuplicate};
-    for (ProcId t = 0; t < PctLane::kWriters; ++t) {
-      prog.add_process([&reg, t](ruco::sim::Ctx& ctx) -> ruco::sim::Op {
-        for (Value k = 0; k < PctLane::kWritesEach; ++k) {
-          co_await reg.write_max(ctx, k * PctLane::kWriters + t);
-        }
-        co_return 0;
-      });
+    auto object = make(prog);
+    for (ProcId t = 0; t < PctLane::kProcs; ++t) {
+      prog.add_process(
+          [&object, &operation, t](ruco::sim::Ctx& ctx) -> ruco::sim::Op {
+            for (Value k = 0; k < PctLane::kOpsEach; ++k) {
+              co_await operation(object, ctx, k * PctLane::kProcs + t);
+            }
+            co_return 0;
+          });
     }
     ruco::sim::System sys{prog};
     ruco::sim::PctOptions pct;
@@ -125,33 +136,57 @@ PctLane pct_lane() {
     pct.depth = PctLane::kPctDepth;
     pct.max_steps = PctLane::kPctSteps;
     lane.steps += ruco::sim::run_pct(sys, pct);
-    for (ProcId t = 0; t < PctLane::kWriters; ++t) {
+    for (ProcId t = 0; t < PctLane::kProcs; ++t) {
       if (sys.active(t)) lane.complete = false;
     }
-    lane.writes += PctLane::kWriters * PctLane::kWritesEach;
+    lane.ops += PctLane::kProcs * PctLane::kOpsEach;
   }
   return lane;
 }
 
 int write_json(const std::string& path) {
-  const PctLane lane = pct_lane();
-  if (!lane.complete) {
-    std::cerr << "sim-pct lane: a run reached the PCT step budget\n";
-    return 1;
-  }
-  const double steps_per_op =
-      static_cast<double>(lane.steps) / static_cast<double>(lane.writes);
+  const std::vector<PctLane> lanes{
+      pct_lane(
+          "tree maxreg (Alg A)",
+          [](ruco::sim::Program& prog) {
+            return SimTreeMaxRegister{
+                prog, PctLane::kProcs,
+                ruco::maxreg::Faithfulness::kHelpOnDuplicate};
+          },
+          [](SimTreeMaxRegister& reg, ruco::sim::Ctx& ctx, Value v) {
+            return reg.write_max(ctx, v);
+          }),
+      pct_lane(
+          "f-array counter",
+          [](ruco::sim::Program& prog) {
+            return SimFArrayCounter{prog, PctLane::kProcs};
+          },
+          [](const SimFArrayCounter& counter, ruco::sim::Ctx& ctx, Value) {
+            return counter.increment(ctx);
+          })};
   std::ofstream out{path};
   out << "{\n  \"bench\": \"propagate_ablation\",\n";
   ruco::bench::write_provenance(out);
-  out << "  \"seeds\": " << PctLane::kSeeds << ",\n  \"series\": [\n"
-      << "    {\"workload\": \"tree maxreg (Alg A)\", \"mode\": \"sim-pct\", "
-         "\"threads\": "
-      << PctLane::kWriters << ", \"ops\": " << lane.writes
-      << ", \"steps\": " << lane.steps
-      << ", \"steps_per_op\": " << steps_per_op << "}\n  ]\n}\n";
-  std::cout << "tree maxreg (Alg A)|sim-pct|" << PctLane::kWriters
-            << ": steps/op " << steps_per_op << "\nwrote " << path << "\n";
+  out << "  \"seeds\": " << PctLane::kSeeds << ",\n  \"series\": [\n";
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const PctLane& lane = lanes[i];
+    if (!lane.complete) {
+      std::cerr << lane.workload
+                << "|sim-pct: a run reached the PCT step budget\n";
+      return 1;
+    }
+    const double steps_per_op =
+        static_cast<double>(lane.steps) / static_cast<double>(lane.ops);
+    out << "    {\"workload\": \"" << lane.workload
+        << "\", \"mode\": \"sim-pct\", \"threads\": " << PctLane::kProcs
+        << ", \"ops\": " << lane.ops << ", \"steps\": " << lane.steps
+        << ", \"steps_per_op\": " << steps_per_op << "}"
+        << (i + 1 < lanes.size() ? ",\n" : "\n");
+    std::cout << lane.workload << "|sim-pct|" << PctLane::kProcs
+              << ": steps/op " << steps_per_op << "\n";
+  }
+  out << "  ]\n}\n";
+  std::cout << "wrote " << path << "\n";
   return out ? 0 : 1;
 }
 

@@ -8,17 +8,18 @@ Compares steps/op of selected (workload, mode, threads) series against the
 recorded baselines (scripts/perf_baseline.json by default) and fails when a
 series exceeds its baseline by more than the configured tolerance.  The
 series of every bench file given are checked together: the hardware lanes
-come from bench_hw_throughput --json, the deterministic sim-pct lane from
-bench_propagate_ablation --json.  Steps/op is the paper's complexity
+come from bench_hw_throughput --json, the deterministic sim-pct lanes (the
+max register's and the f-array counter's) from bench_propagate_ablation
+--json.  Steps/op is the paper's complexity
 measure -- unlike ops/sec it does not depend on CI machine speed.  Solo (threads=1) lanes are fully deterministic, so a 10%
 excursion means an actual hot-path step regression (an extra load in the
 refresh loop, a lost fast path), not noise.  Contended lanes are *not*
 deterministic: a lost first-round CAS legitimately triggers a second
 refresh round (up to 4 extra events per level), so adverse scheduling on a
 noisy runner can push steps/op above the solo ceiling.  Those lanes carry a
-measured baseline plus a wider per-lane tolerance.  The sim-pct lane is
+measured baseline plus a wider per-lane tolerance.  The sim-pct lanes are
 contended too, but under seeded PCT schedules of the simulation layer, so
-it is exact and takes the global tolerance.
+they are exact and take the global tolerance.
 
 A baseline entry is either a bare number (steps/op ceiling, checked with
 the global tolerance) or an object {"baseline": B, "tolerance": T} for a

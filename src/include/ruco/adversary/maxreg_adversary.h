@@ -26,7 +26,7 @@
 // (legal by Claim 1 -- they are hidden) and the remainder is *replayed* on a
 // fresh System, checking action-for-action, response-for-response
 // indistinguishability.  All familiarity decisions use the offline literal
-// Definition 1-4 recomputation, not the online conservative tracker.
+// Definition 1-4 recomputation, not the System's online conservative rules.
 //
 // The run stops when at least half the essential processes completed
 // (Lemma 6's regime), when m < 81 (Lemma 4's validity floor, relaxable for

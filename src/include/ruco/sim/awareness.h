@@ -1,12 +1,12 @@
 // Offline recomputation of the paper's knowledge sets from a recorded
-// trace, independent of the System's online tracker:
+// trace, independent of the System's knowledge cache:
 //
 //   * recompute_knowledge -- final AW(p, E) and F(o, E) per Definitions 1-4,
 //     applying the *literal* Definition 1 (any write, trivial or not, hides
 //     an immediately-preceding unobserved event on the same object).  The
-//     online tracker in sim::System retracts only on value-changing writes,
-//     so online sets are a superset; the property tests assert exactly that
-//     containment.
+//     online rules of sim::System's cache retract only on value-changing
+//     writes, so online sets are a superset; the property tests assert
+//     exactly that containment.
 //
 //   * first_aware_index -- for a target process pi, the index in the trace
 //     of each process's first event at or after which pi entered its

@@ -1,7 +1,7 @@
 // Dense process-id set over a fixed universe [0, N): the representation of
 // the paper's awareness sets AW(p, E) and familiarity sets F(o, E)
 // (Definitions 3-4).  A flat bitset: union and intersection are word-wise,
-// which keeps the online awareness tracker cheap even at N = 4096.
+// which keeps the System's knowledge cache cheap even at N = 4096.
 #pragma once
 
 #include <bit>

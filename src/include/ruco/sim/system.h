@@ -1,8 +1,9 @@
 // The paper's asynchronous shared-memory system, executable (Section 2):
 // N processes apply read / write / CAS primitives to base objects; each
 // suspended process exposes its single enabled event; a scheduler (or
-// adversary) decides who steps next.  The system maintains, online, the
-// paper's information-flow bookkeeping:
+// adversary) decides who steps next.  A step only applies its primitive to
+// the object values and records the Event in the trace.  The paper's
+// information-flow bookkeeping is computed from that trace on demand:
 //
 //   * invisible events (Definition 1) -- a value-preserving event, or a
 //     write immediately overwritten before anyone (including its issuer)
@@ -18,6 +19,17 @@
 //     retracted if a write is immediately overwritten per Definition 1)
 // making the tracked sets a (tight) superset of the definitional ones; the
 // tests cross-check them against an offline recomputation from the trace.
+//
+// The knowledge queries (awareness, familiarity, max_knowledge,
+// max_knowledge_seen) share one cache that applies these rules, in trace
+// order, to the events recorded since the last query.  A run that never
+// asks pays nothing for them; one that asks after every step pays what an
+// online tracker would, O(N/64) words per event, amortised over the
+// queries.  reset() only marks the cache stale, and its sets are allocated
+// by the first query.  Two consequences for callers: a returned
+// `const ProcSet&` is a snapshot as of the call (later steps show only
+// after the next query), and the const queries write the cache, so they
+// must not run concurrently on one System.
 #pragma once
 
 #include <cstdint>
@@ -147,12 +159,14 @@ class System {
   System& operator=(const System&) = delete;
 
   /// Rewinds to the initial state of the same Program, reusing every
-  /// allocation it can (object table, process table, trace/history
-  /// capacity, ProcSet words).  Coroutine frames cannot be rewound, so the
-  /// process bodies are destroyed and respawned -- but that is the *only*
-  /// unavoidable per-reset allocation, which makes reset() much cheaper
-  /// than constructing a fresh System.  The replay-light model checker
-  /// calls this on every backtrack, so it is on the hot path.
+  /// allocation it can (object values, process table, trace/history
+  /// capacity).  The knowledge cache is only marked stale; its sets are
+  /// cleared, not freed, by the next knowledge query.  Coroutine frames
+  /// cannot be rewound, so the process bodies are destroyed and respawned
+  /// -- but that is the *only* unavoidable per-reset allocation, which
+  /// makes reset() much cheaper than constructing a fresh System.  The
+  /// replay-light model checker calls this on every backtrack, so it is on
+  /// the hot path.
   void reset();
 
   /// Applies the enabled event of process p and runs p to its next
@@ -177,9 +191,10 @@ class System {
   /// single-word CAS -- as a *failure* regardless of the object's current
   /// value, the way an LL/SC-backed compare_exchange_weak may fail.  One
   /// step: the event is recorded (with Event::spurious set), the CAS still
-  /// counts as an observation of the object for the knowledge tracker, and
-  /// p resumes with result 0.  Returns false iff p has no enabled event or
-  /// its enabled event is not a kCas.
+  /// counts as an observation of the object for the knowledge sets, and
+  /// p resumes with result 0.  Like step(), it enforces a declared
+  /// footprint (std::logic_error outside it).  Returns false iff p has no
+  /// enabled event or its enabled event is not a kCas.
   bool step_spurious(ProcId p);
 
   /// p has an enabled event.
@@ -228,16 +243,20 @@ class System {
   /// Throws std::logic_error for a crashed process (its op never returned).
   [[nodiscard]] Value result(ProcId p) const;
 
-  [[nodiscard]] Value value(ObjectId o) const { return objects_[o].value; }
+  [[nodiscard]] Value value(ObjectId o) const { return values_[o]; }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   [[nodiscard]] const std::vector<HistoryEvent>& history() const noexcept {
     return history_;
   }
+  /// AW(p) after the last recorded event.  The reference stays valid for
+  /// the System's lifetime; its value is refreshed only by the next
+  /// knowledge query (see the header comment).
   [[nodiscard]] const ProcSet& awareness(ProcId p) const {
-    return procs_[p].aw;
+    return sync_knowledge().aw[p];
   }
+  /// F(o) after the last recorded event; same snapshot rule as awareness.
   [[nodiscard]] const ProcSet& familiarity(ObjectId o) const {
-    return objects_[o].fam;
+    return sync_knowledge().objects[o].fam;
   }
   [[nodiscard]] std::uint64_t steps_taken(ProcId p) const {
     return procs_[p].steps;
@@ -246,7 +265,7 @@ class System {
     return procs_.size();
   }
   [[nodiscard]] std::size_t num_objects() const noexcept {
-    return objects_.size();
+    return values_.size();
   }
   /// M(E) of Lemma 1: the maximum size over all awareness and familiarity
   /// sets, recomputed exactly (O(processes + objects) set counts).
@@ -263,32 +282,22 @@ class System {
     return decisions_;
   }
 
-  /// High-water mark of M over the whole run, maintained incrementally in
-  /// O(1) per step.  Since knowledge sets only ever grow (familiarity
-  /// retraction can shrink one object's set, but never above the mark),
-  /// the mark equals max over prefixes of M(E_prefix) -- the quantity
-  /// Lemma 1's 3^j invariant bounds.  Preferred by the large-N adversary
-  /// benchmarks, where exact recomputation per round would dominate.
-  [[nodiscard]] std::size_t max_knowledge_seen() const noexcept {
-    return knowledge_high_water_;
+  /// High-water mark of M over the whole run, raised event by event as the
+  /// knowledge cache absorbs the trace (amortised O(N/64) per event; the
+  /// first query after a reset allocates the cache's sets).  Since
+  /// knowledge sets only ever grow (familiarity retraction can shrink one
+  /// object's set, but never above the mark), the mark equals max over
+  /// prefixes of M(E_prefix) -- the quantity Lemma 1's 3^j invariant
+  /// bounds.  Preferred by the large-N adversary benchmarks, where exact
+  /// recomputation per round would dominate.
+  [[nodiscard]] std::size_t max_knowledge_seen() const {
+    return sync_knowledge().high_water;
   }
 
  private:
   friend class Ctx;
 
   static constexpr std::uint64_t kNoEvent = UINT64_MAX;
-
-  struct ObjectState {
-    Value value = 0;
-    ProcSet fam;  // cached union of contributions
-    struct Contribution {
-      std::uint64_t event_index;
-      ProcId proc;
-      ProcSet aw;  // AW(issuer) at event time (Definition 4's E1e prefix)
-    };
-    std::vector<Contribution> contribs;
-    std::uint64_t last_access = kNoEvent;  // trace index of last event on o
-  };
 
   struct ProcState {
     Ctx ctx;
@@ -298,15 +307,34 @@ class System {
     bool has_pending = false;
     bool crashed = false;
     Value prim_result = 0;
-    ProcSet aw;
     std::uint64_t steps = 0;
-    std::uint64_t last_step = kNoEvent;  // trace index of p's last event
     // Deferred mark_invoke, flushed at this process's next step.
     bool invoke_buffered = false;
     std::string buffered_op;
     Value buffered_arg = 0;
     // mark_invoke calls so far; footprint-declared processes promise <= 1.
     std::uint32_t invokes = 0;
+  };
+
+  // Definitions 1-4 state after the first `absorbed` trace events.
+  struct Knowledge {
+    struct Contribution {
+      std::uint64_t event_index;
+      ProcId proc;
+      ProcSet aw;  // AW(issuer) at event time (Definition 4's E1e prefix)
+    };
+    struct Object {
+      Value value = 0;  // the k-CAS rule compares against it
+      ProcSet fam;      // cached union of contributions
+      std::vector<Contribution> contribs;
+      std::uint64_t last_access = kNoEvent;  // trace index of last event
+    };
+    std::vector<ProcSet> aw;
+    std::vector<std::uint64_t> last_step;  // trace index of p's last event
+    std::vector<Object> objects;
+    std::size_t high_water = 1;  // every AW starts at {self}
+    std::size_t absorbed = 0;
+    bool stale = true;  // reset() since the last query
   };
 
   void flush_invoke(ProcId p);
@@ -317,20 +345,23 @@ class System {
     return procs_[p].prim_result;
   }
   void apply(ProcId p, const Pending& pending);
-  void retract_overwritten(ObjectState& os);
-  void rebuild_familiarity(ObjectState& os);
+
+  // Brings the knowledge cache up to the end of the trace.
+  const Knowledge& sync_knowledge() const;
+  void absorb(Knowledge& k, std::uint64_t index) const;
+  void retract_overwritten(Knowledge& k, Knowledge::Object& os) const;
 
   void check_footprint(ProcId p, const Pending& pending) const;
 
   const Program* program_ = nullptr;
-  std::vector<ObjectState> objects_;
+  std::vector<Value> values_;
   std::vector<ProcState> procs_;
   ProcSet active_;  // cached {p : has_pending}; see active_set()
   std::uint32_t live_count_ = 0;
   Trace trace_;
   std::vector<HistoryEvent> history_;
   std::uint64_t clock_ = 0;  // advances on every step and annotation
-  std::size_t knowledge_high_water_ = 1;  // every AW starts at {self}
+  mutable Knowledge knowledge_;
   std::uint32_t crash_count_ = 0;
   bool decision_log_enabled_ = false;
   std::vector<SchedDecision> decisions_;

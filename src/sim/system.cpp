@@ -73,15 +73,13 @@ void System::flush_invoke(ProcId p) {
 
 System::System(const Program& program) : program_{&program} {
   const std::size_t n = program.num_processes();
-  objects_.resize(program.num_objects());
-  for (auto& os : objects_) os.fam = ProcSet{n};
+  values_.resize(program.num_objects());
   // procs_ must never reallocate: coroutine frames hold Ctx&.
   procs_ = std::vector<ProcState>(n);
   for (ProcId p = 0; p < n; ++p) {
     ProcState& ps = procs_[p];
     ps.ctx.sys_ = this;
     ps.ctx.id_ = p;
-    ps.aw = ProcSet{n};
   }
   active_ = ProcSet{n};
   reset();
@@ -89,18 +87,13 @@ System::System(const Program& program) : program_{&program} {
 
 void System::reset() {
   const Program& program = *program_;
-  for (std::size_t o = 0; o < objects_.size(); ++o) {
-    ObjectState& os = objects_[o];
-    os.value = program.object_init_[o];
-    os.fam.clear();
-    os.contribs.clear();
-    os.last_access = kNoEvent;
-  }
+  std::copy(program.object_init_.begin(), program.object_init_.end(),
+            values_.begin());
   trace_.clear();
   history_.clear();
   decisions_.clear();
   clock_ = 0;
-  knowledge_high_water_ = 1;
+  knowledge_.stale = true;
   crash_count_ = 0;
   active_.clear();
   live_count_ = 0;
@@ -111,10 +104,7 @@ void System::reset() {
     ps.has_pending = false;
     ps.crashed = false;
     ps.prim_result = 0;
-    ps.aw.clear();
-    ps.aw.add(p);  // initially, each process is aware only of itself
     ps.steps = 0;
-    ps.last_step = kNoEvent;
     ps.invoke_buffered = false;
     ps.buffered_op.clear();
     ps.buffered_arg = 0;
@@ -143,7 +133,7 @@ void System::post_pending(ProcId p, const Pending& pending,
 bool System::pending_would_change(ProcId p) const {
   const ProcState& ps = procs_[p];
   if (!ps.has_pending) return false;
-  const Value current = objects_[ps.pending.obj].value;
+  const Value current = values_[ps.pending.obj];
   switch (ps.pending.prim) {
     case Prim::kRead:
       return false;
@@ -155,7 +145,7 @@ bool System::pending_would_change(ProcId p) const {
       bool all_match = true;
       bool any_change = false;
       for (const auto& entry : ps.pending.kcas) {
-        const Value now = objects_[entry.obj].value;
+        const Value now = values_[entry.obj];
         all_match = all_match && (now == entry.expected);
         any_change = any_change || (entry.desired != now);
       }
@@ -204,10 +194,10 @@ bool System::step_spurious(ProcId p) {
   flush_invoke(p);
   const Pending pending = ps.pending;
   ps.has_pending = false;
+  if (program_->has_footprint(p)) check_footprint(p, pending);
   // A spuriously failed CAS is exactly a failed CAS to the rest of the
   // system: no value change, result 0 -- and it still observes the object,
-  // so the knowledge tracker stays a conservative superset.
-  ObjectState& os = objects_[pending.obj];
+  // so the knowledge sets stay a conservative superset.
   Event ev;
   ev.proc = p;
   ev.obj = pending.obj;
@@ -217,14 +207,10 @@ bool System::step_spurious(ProcId p) {
   ev.observed = 0;
   ev.changed = false;
   ev.spurious = true;
-  ps.aw.unite(os.fam);
-  knowledge_high_water_ = std::max(knowledge_high_water_, ps.aw.count());
   ps.prim_result = 0;
-  os.last_access = trace_.size();
   trace_.push_back(ev);
   ++clock_;
   ps.steps += 1;
-  ps.last_step = trace_.size() - 1;
   ps.resume_point.resume();
   if (!ps.has_pending) {
     active_.remove(p);
@@ -247,7 +233,6 @@ bool System::step(ProcId p) {
   ps.has_pending = false;
   apply(p, pending);
   ps.steps += 1;
-  ps.last_step = trace_.size() - 1;
   // Resume the innermost suspended coroutine; it either posts a new pending
   // event or runs the op (chain) to completion.
   ps.resume_point.resume();
@@ -283,7 +268,7 @@ void System::check_footprint(ProcId p, const Pending& pending) const {
 
 void System::apply(ProcId p, const Pending& pending) {
   if (program_->has_footprint(p)) check_footprint(p, pending);
-  ObjectState& os = objects_[pending.obj];
+  Value& value = values_[pending.obj];
   ProcState& ps = procs_[p];
   Event ev;
   ev.proc = p;
@@ -291,123 +276,148 @@ void System::apply(ProcId p, const Pending& pending) {
   ev.prim = pending.prim;
   ev.arg = pending.arg;
   ev.expected = pending.expected;
-  const std::uint64_t index = trace_.size();
 
   switch (pending.prim) {
     case Prim::kRead:
-      ev.observed = os.value;
+      ev.observed = value;
       ev.changed = false;
-      ps.aw.unite(os.fam);  // Definition 2 case 1
       ps.prim_result = ev.observed;
       break;
     case Prim::kWrite:
-      ev.changed = (os.value != pending.arg);
-      if (ev.changed) {
-        // Definition 1: an immediately-overwritten, never-observed write
-        // becomes invisible; retract its familiarity contribution.
-        retract_overwritten(os);
-        os.value = pending.arg;
-        os.contribs.push_back(
-            ObjectState::Contribution{index, p, ps.aw});
-        os.fam.unite(ps.aw);  // Definition 4
-      }
+      ev.changed = (value != pending.arg);
+      value = pending.arg;
       ps.prim_result = 0;
       break;
     case Prim::kCas: {
-      const bool success = (os.value == pending.expected);
+      const bool success = (value == pending.expected);
       ev.observed = success ? 1 : 0;
-      ev.changed = success && (pending.arg != os.value);
-      ps.aw.unite(os.fam);  // a CAS observes the object either way
-      if (ev.changed) {
-        os.value = pending.arg;
-        os.contribs.push_back(
-            ObjectState::Contribution{index, p, ps.aw});
-        os.fam.unite(ps.aw);
-      }
+      ev.changed = success && (pending.arg != value);
+      if (success) value = pending.arg;
       ps.prim_result = ev.observed;
       break;
     }
     case Prim::kKcas: {
-      // Succeed iff every word matches; observe (and grow aware through)
-      // every touched object either way.
+      // Succeed iff every word matches, then install every desired value.
       ev.kcas = pending.kcas;
       bool all_match = true;
       for (const auto& entry : pending.kcas) {
-        all_match = all_match && (objects_[entry.obj].value == entry.expected);
+        all_match = all_match && (values_[entry.obj] == entry.expected);
       }
       ev.observed = all_match ? 1 : 0;
-      for (const auto& entry : pending.kcas) {
-        ps.aw.unite(objects_[entry.obj].fam);
-      }
       if (all_match) {
         for (const auto& entry : pending.kcas) {
-          ObjectState& target = objects_[entry.obj];
-          if (target.value != entry.desired) {
-            ev.changed = true;
-            target.value = entry.desired;
-            target.contribs.push_back(
-                ObjectState::Contribution{index, p, ps.aw});
-            target.fam.unite(ps.aw);
-            knowledge_high_water_ =
-                std::max(knowledge_high_water_, target.fam.count());
-          }
+          Value& target = values_[entry.obj];
+          ev.changed = ev.changed || (target != entry.desired);
+          target = entry.desired;
         }
-      }
-      knowledge_high_water_ = std::max(knowledge_high_water_, ps.aw.count());
-      // Every touched object records the access (blocks Definition 1
-      // retraction of whatever it last held).
-      for (const auto& entry : pending.kcas) {
-        objects_[entry.obj].last_access = index;
       }
       ps.prim_result = ev.observed;
       break;
     }
   }
-  os.last_access = index;
-  switch (pending.prim) {
-    case Prim::kRead:
-      knowledge_high_water_ = std::max(knowledge_high_water_, ps.aw.count());
-      break;
-    case Prim::kWrite:
-    case Prim::kCas:
-      if (ev.changed) {
-        knowledge_high_water_ =
-            std::max(knowledge_high_water_, os.fam.count());
-      }
-      if (pending.prim == Prim::kCas) {
-        knowledge_high_water_ =
-            std::max(knowledge_high_water_, ps.aw.count());
-      }
-      break;
-    case Prim::kKcas:
-      break;  // tracked inline above
-  }
-  trace_.push_back(ev);
+  trace_.push_back(std::move(ev));
   ++clock_;
 }
 
-void System::retract_overwritten(ObjectState& os) {
+const System::Knowledge& System::sync_knowledge() const {
+  Knowledge& k = knowledge_;
+  if (k.stale) {
+    const std::size_t n = procs_.size();
+    if (k.aw.size() != n || k.objects.size() != values_.size()) {
+      k.aw.assign(n, ProcSet{n});
+      k.last_step.resize(n);
+      k.objects.resize(values_.size());
+      for (auto& os : k.objects) os.fam = ProcSet{n};
+    }
+    for (ProcId p = 0; p < n; ++p) {
+      k.aw[p].clear();
+      k.aw[p].add(p);  // initially, each process is aware only of itself
+      k.last_step[p] = kNoEvent;
+    }
+    for (std::size_t o = 0; o < k.objects.size(); ++o) {
+      Knowledge::Object& os = k.objects[o];
+      os.value = program_->object_init_[o];
+      os.fam.clear();
+      os.contribs.clear();
+      os.last_access = kNoEvent;
+    }
+    k.high_water = 1;
+    k.absorbed = 0;
+    k.stale = false;
+  }
+  for (; k.absorbed < trace_.size(); ++k.absorbed) absorb(k, k.absorbed);
+  return k;
+}
+
+void System::absorb(Knowledge& k, std::uint64_t index) const {
+  const Event& ev = trace_[index];
+  Knowledge::Object& os = k.objects[ev.obj];
+  ProcSet& aw = k.aw[ev.proc];
+  const auto contribute = [&](Knowledge::Object& target, Value v) {
+    target.value = v;
+    target.contribs.push_back(Knowledge::Contribution{index, ev.proc, aw});
+    target.fam.unite(aw);  // Definition 4
+    k.high_water = std::max(k.high_water, target.fam.count());
+  };
+  switch (ev.prim) {
+    case Prim::kRead:
+      aw.unite(os.fam);  // Definition 2 case 1
+      k.high_water = std::max(k.high_water, aw.count());
+      break;
+    case Prim::kWrite:
+      if (ev.changed) {
+        // Definition 1: an immediately-overwritten, never-observed write
+        // becomes invisible; retract its familiarity contribution.
+        retract_overwritten(k, os);
+        contribute(os, ev.arg);
+      }
+      break;
+    case Prim::kCas:
+      aw.unite(os.fam);  // a CAS observes the object either way
+      if (ev.changed) contribute(os, ev.arg);
+      k.high_water = std::max(k.high_water, aw.count());
+      break;
+    case Prim::kKcas:
+      // Observe (and grow aware through) every touched object either way;
+      // on success, contribute to every object whose value changed.
+      for (const auto& entry : ev.kcas) aw.unite(k.objects[entry.obj].fam);
+      if (ev.observed != 0) {
+        for (const auto& entry : ev.kcas) {
+          Knowledge::Object& target = k.objects[entry.obj];
+          if (target.value != entry.desired) contribute(target, entry.desired);
+        }
+      }
+      k.high_water = std::max(k.high_water, aw.count());
+      // Every touched object records the access (blocks Definition 1
+      // retraction of whatever it last held).
+      for (const auto& entry : ev.kcas) {
+        k.objects[entry.obj].last_access = index;
+      }
+      break;
+  }
+  os.last_access = index;
+  k.last_step[ev.proc] = index;
+}
+
+void System::retract_overwritten(Knowledge& k, Knowledge::Object& os) const {
   if (os.contribs.empty()) return;
   const auto& top = os.contribs.back();
   // The previous visible event on this object becomes invisible iff it was
   // the most recent access to the object (nobody read it in between) and
   // its issuer has taken no step since (Definition 1's two conditions).
   if (top.event_index == os.last_access &&
-      procs_[top.proc].last_step == top.event_index) {
+      k.last_step[top.proc] == top.event_index) {
     os.contribs.pop_back();
-    rebuild_familiarity(os);
+    os.fam.clear();
+    for (const auto& c : os.contribs) os.fam.unite(c.aw);
   }
 }
 
-void System::rebuild_familiarity(ObjectState& os) {
-  os.fam.clear();
-  for (const auto& c : os.contribs) os.fam.unite(c.aw);
-}
-
 std::size_t System::max_knowledge() const {
+  const Knowledge& k = sync_knowledge();
   std::size_t best = 0;
-  for (const auto& ps : procs_) best = std::max(best, ps.aw.count());
-  for (const auto& os : objects_) best = std::max(best, os.fam.count());
+  for (const auto& aw : k.aw) best = std::max(best, aw.count());
+  for (const auto& os : k.objects) best = std::max(best, os.fam.count());
   return best;
 }
 

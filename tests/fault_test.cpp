@@ -184,6 +184,22 @@ TEST(SpuriousCas, OnlyPendingCasEventsAreEligible) {
   EXPECT_FALSE(sys.step_spurious(0)) << "completed: nothing pending";
 }
 
+TEST(SpuriousCas, EnforcesTheDeclaredFootprint) {
+  // The persistent-set filter trusts the declaration on every step,
+  // injected spurious failures included.
+  Program prog;
+  const ObjectId a = prog.add_object(0);
+  const ObjectId b = prog.add_object(0);
+  prog.add_process(
+      [b](Ctx& ctx) -> Op {
+        co_return co_await ctx.cas(b, 0, 1);  // declared {a}, touches b
+      },
+      {a});
+  System sys{prog};
+  EXPECT_THROW(sys.step_spurious(0), std::logic_error);
+  EXPECT_TRUE(sys.trace().empty()) << "the violating CAS is not recorded";
+}
+
 TEST(SpuriousCas, FaultyTraceReplaysExactly) {
   auto bundle = simalgos::make_tree_maxreg_program(5);
   System sys{bundle.program};

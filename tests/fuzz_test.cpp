@@ -182,9 +182,9 @@ TEST(Fuzz, FullTraceAlwaysReplays) {
 }
 
 TEST(Fuzz, OnlineKnowledgeAlwaysContainsOffline) {
-  // The documented containment: the online conservative tracker is a
-  // superset of the literal Definition 1-4 recomputation, on arbitrary
-  // workloads.
+  // The documented containment: the System's online (conservative) rules
+  // give a superset of the literal Definition 1-4 recomputation, on
+  // arbitrary workloads.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     auto w = make_workload(seed + 500, 6, 3);
     sim::System sys{w.program};

@@ -1,18 +1,23 @@
 // The simulated shared-memory system: primitive semantics, enabled-event
-// inspection, trace recording, the awareness/familiarity tracker
+// inspection, trace recording, the on-demand awareness/familiarity cache
 // (Definitions 1-4), erasure + replay (Lemma 2 / Claim 1), offline
 // recomputation, schedulers, and the model checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ruco/sim/awareness.h"
 #include "ruco/sim/event.h"
+#include "ruco/sim/fault.h"
 #include "ruco/sim/model_checker.h"
 #include "ruco/sim/op.h"
 #include "ruco/sim/proc_set.h"
 #include "ruco/sim/schedulers.h"
 #include "ruco/sim/system.h"
+#include "ruco/simalgos/programs.h"
 
 namespace ruco::sim {
 namespace {
@@ -445,6 +450,135 @@ TEST(OfflineKnowledge, FirstAwareIndex) {
       first_aware_index(sys.trace(), sys.num_processes(), sys.num_objects(), 0);
   EXPECT_EQ(first[0], 0u) << "a process is aware of itself at its 1st event";
   EXPECT_EQ(first[1], 1u);
+}
+
+// ------------------------------------------- deferred knowledge cache
+
+// Every knowledge query of a System, in one comparable value.
+struct KnowledgeView {
+  std::vector<ProcSet> awareness;
+  std::vector<ProcSet> familiarity;
+  std::size_t max_now = 0;
+  std::size_t max_seen = 0;
+
+  friend bool operator==(const KnowledgeView&,
+                         const KnowledgeView&) = default;
+};
+
+KnowledgeView query_all(const System& sys) {
+  KnowledgeView view;
+  for (ProcId p = 0; p < sys.num_processes(); ++p) {
+    view.awareness.push_back(sys.awareness(p));
+  }
+  for (ObjectId o = 0; o < sys.num_objects(); ++o) {
+    view.familiarity.push_back(sys.familiarity(o));
+  }
+  view.max_now = sys.max_knowledge();
+  view.max_seen = sys.max_knowledge_seen();
+  return view;
+}
+
+void apply_decision(System& sys, const SchedDecision& d) {
+  switch (d.kind) {
+    case SchedDecision::Kind::kStep:
+      ASSERT_TRUE(sys.step(d.proc));
+      break;
+    case SchedDecision::Kind::kCrash:
+      ASSERT_TRUE(sys.crash(d.proc));
+      break;
+    case SchedDecision::Kind::kSpurious:
+      ASSERT_TRUE(sys.step_spurious(d.proc));
+      break;
+  }
+}
+
+TEST(SimKnowledge, DeferredEqualsEagerQueries) {
+  // Systems of one Program follow one faulty schedule.  The eager one is
+  // queried after every decision, so its cache absorbs one event at a
+  // time; the deferred one is queried only at the end; the rerun one is
+  // queried at the end of the schedule it replays after a mid-run reset(),
+  // over a stale, already allocated cache.
+  auto tree = simalgos::make_tree_maxreg_program(5);
+  auto farray = simalgos::make_farray_counter_program(5);
+  auto kcas = simalgos::make_kcas_counter_program(4);
+  const std::vector<std::pair<const char*, const Program*>> programs{
+      {"tree maxreg", &tree.program},
+      {"f-array counter", &farray.program},
+      {"k-CAS counter", &kcas.program}};
+  std::size_t crashes = 0;
+  std::size_t spurious = 0;
+  for (const auto& [name, prog] : programs) {
+    for (const bool pct : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(std::string{name} + (pct ? " pct" : " random") +
+                     " seed " + std::to_string(seed));
+        System recorder{*prog};
+        recorder.enable_decision_log(true);
+        FaultPlan plan;
+        plan.seed = seed;
+        plan.max_random_crashes = 2;
+        plan.crash_per_mille = 30;
+        plan.spurious_cas_per_mille = 150;
+        FaultInjector injector{recorder, plan};
+        if (pct) {
+          PctOptions options;
+          options.seed = seed;
+          options.max_steps = 1u << 16;
+          run_pct(recorder, options, injector);
+        } else {
+          run_random(recorder, seed, 1u << 16, injector);
+        }
+        ASSERT_TRUE(all_done(recorder));
+        const std::vector<SchedDecision> schedule = recorder.decision_log();
+        crashes += injector.crash_count();
+        spurious += injector.spurious_count();
+
+        System eager{*prog};
+        std::size_t prefix_max = eager.max_knowledge();
+        for (const SchedDecision& d : schedule) {
+          apply_decision(eager, d);
+          const KnowledgeView view = query_all(eager);
+          // The high-water mark is M maximised over every prefix.
+          prefix_max = std::max(prefix_max, view.max_now);
+          ASSERT_EQ(view.max_seen, prefix_max);
+        }
+        const KnowledgeView expected = query_all(eager);
+        ASSERT_EQ(eager.trace().size(), recorder.trace().size());
+
+        System deferred{*prog};
+        for (const SchedDecision& d : schedule) apply_decision(deferred, d);
+        EXPECT_TRUE(query_all(deferred) == expected) << "queried at the end";
+
+        // A different, shorter execution, queried half-way, leaves its sets
+        // in the cache; the reset() in the middle of it must discard them.
+        System rerun{*prog};
+        run_round_robin(rerun, schedule.size() / 2);
+        (void)query_all(rerun);
+        rerun.reset();
+        for (const SchedDecision& d : schedule) apply_decision(rerun, d);
+        EXPECT_TRUE(query_all(rerun) == expected) << "after reset";
+      }
+    }
+  }
+  EXPECT_GT(crashes, 0u) << "the plans must crash someone";
+  EXPECT_GT(spurious, 0u) << "the plans must fail some CAS spuriously";
+}
+
+TEST(SimKnowledge, ReturnedSetIsASnapshotAsOfTheCall) {
+  Program prog;
+  const ObjectId o = prog.add_object(0);
+  prog.add_process([o](Ctx& ctx) { return write_one(ctx, o, 1); });
+  prog.add_process([o](Ctx& ctx) { return read_one(ctx, o); });
+  System sys{prog};
+  sys.step(0);
+  const ProcSet& aw = sys.awareness(1);
+  EXPECT_FALSE(aw.contains(0));
+  sys.step(1);
+  EXPECT_FALSE(aw.contains(0)) << "a step alone does not refresh the cache";
+  (void)sys.max_knowledge_seen();
+  EXPECT_TRUE(aw.contains(0)) << "any knowledge query does";
+  sys.reset();
+  EXPECT_EQ(sys.awareness(1).count(), 1u) << "reset: back to {self}";
 }
 
 // ------------------------------------------- erasure + replay (Lemma 2)
