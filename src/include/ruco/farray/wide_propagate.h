@@ -65,12 +65,14 @@
 //     without A's update, although A returned.  Making the four sites
 //     seq_cst puts them in one total order, in which C's child loads
 //     follow A's store.
-// src/wmm pins both: the propagate-counter/{conditional,always-twice}
-// kernels (two increments on a binary node; the node load relaxed loses
-// one), the binary store-buffering kernels propagate-counter/repeat (one
-// writer increments twice) and propagate-max/repeat (Algorithm A's max: A
-// writes 1 then 2, B writes 3), and the wide ones propagate-wide and
-// propagate-wide/skip (three leaves under one node).  Under RC11
+// src/wmm pins both with one transcription of this loop, run by six
+// kernels that are rows of one table (wmm::make_propagate_kernel, one
+// wmm::PropagateKernel value per row): propagate-counter/{conditional,
+// always-twice} (two increments on a binary node; the node load relaxed
+// loses one), the binary store-buffering kernels propagate-counter/repeat
+// (one writer increments twice) and propagate-max/repeat (Algorithm A's
+// max: A writes 1 then 2, B writes 3), and the wide ones propagate-wide
+// and propagate-wide/skip (three leaves under one node).  Under RC11
 // weakening any one of the four sites alone loses an update; so does a
 // seq_cst fence after a release leaf store with the other sites
 // acquire/release.  On x86 only the leaf store changes instruction (to

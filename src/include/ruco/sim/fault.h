@@ -107,7 +107,6 @@ class FaultInjector {
 
  private:
   [[nodiscard]] bool should_crash(ProcId p);
-  [[nodiscard]] std::size_t live_count() const;
 
   System& sys_;
   FaultPlan plan_;

@@ -91,8 +91,11 @@ struct ModelCheckOptions {
   /// Worker threads.  1 = sequential exploration in legacy DFS order.
   /// With > 1, verdicts and counterexamples stay deterministic; execution
   /// counts are deterministic whenever the run completes or is cut by
-  /// max_executions (the budget is reserved from a shared counter), while
-  /// per-worker stats like node counts may vary run to run.
+  /// max_executions (the budget is reserved from a shared counter).
+  /// Per-worker stats like node and replay counts are deterministic only
+  /// when the run completes: they vary run to run on failing runs and on
+  /// budget-cut ones, whose workers expand nodes past the last counted
+  /// leaf.
   std::uint32_t jobs = 1;
   /// Parallel frontier split depth; 0 = auto (scaled to jobs).  Exposed
   /// for tests that pin the split.

@@ -4,17 +4,47 @@
 // correctness conditions as machine-checked invariants over all
 // RC11-consistent executions.
 //
-// Six kernels cover the order table in DESIGN.md ("Hot-path
-// engineering"):
+// Twelve kernels cover the order table in DESIGN.md ("Memory orders"),
+// in three lists: the seven of protocol_kernels(), which the repository
+// benchmark's verify workload runs, mcas-resolving-read, and four
+// store-buffering kernels over the propagation loop.  rucosim wmm and
+// wmm_test run all twelve.
 //
-//   propagate-counter/{conditional,always-twice}
-//       The propagation loop (ruco/farray/wide_propagate.h) on a 2-leaf
-//       binary tree, as farray::TreeWalk walks Algorithm A's tree, with
-//       two concurrent increments, both RefreshPolicy variants, at its
-//       seq_cst sites.
-//       Invariants: no lost increment (final node == 2) and no
-//       monotonicity regression (the node's modification order is
-//       nondecreasing) -- the PR-4 node-load bug class.
+// Six of them are rows of one table over a single transcription of
+// farray::propagate_wide (ruco/farray/wide_propagate.h), built by
+// make_propagate_kernel(PropagateKernel): one node over two or three
+// leaves, one thread per leaf storing its write script, each store
+// followed by the loop -- load the node, load the children in order and
+// combine them, take the no-change skip if the row does, CAS, and stop
+// on a won CAS under RefreshPolicy::kConditional.  Invariants of every
+// row: the node's modification order is nondecreasing and the node ends
+// at the row's expected value.
+//
+//   propagate-counter/{conditional,always-twice}   (protocol_kernels())
+//       A 2-leaf binary tree, as farray::TreeWalk walks Algorithm A's
+//       tree, with two concurrent increments, both RefreshPolicy
+//       variants (the conditional one with the skip), final node 2 --
+//       the PR-4 node-load bug class.
+//
+//   propagate-wide, propagate-wide/skip
+//       One node over three leaves, one increment per leaf, final node 3:
+//       the wide loop's view instantiation (no skip: a merged view never
+//       equals the node) and its Value-cell one (the f-array counter's
+//       loop, with the skip).
+//
+//   propagate-counter/repeat
+//       A 2-leaf tree where one writer increments twice and the other
+//       once, final node 3.  At release/acquire it loses an increment.
+//
+//   propagate-max/repeat
+//       Algorithm A's max on a 2-leaf tree: owner A writes 1 then 2,
+//       owner B writes 3, final node 3.  At release/acquire it loses B's
+//       write (final 2).
+//
+// The last four check the loop's seq_cst sites against the store-
+// buffering execution that acquire/release allows; they are not part of
+// protocol_kernels().  The other kernels check payload publication, not
+// the double refresh, and keep their own bodies:
 //
 //   propagate-snapshot
 //       The f-array snapshot's propagation (seq_cst at the leaf store,
@@ -50,47 +80,22 @@
 //       SUCCEEDED and to its old value otherwise.  Invariant: the reader
 //       never sees word 0 new and then word 1 old (the acquire status load
 //       and the release phase-2 CAS are what rule that out).  Not part of
-//       protocol_kernels(), whose list the repository benchmark's verify
-//       workload runs.
+//       protocol_kernels().
 //
 //   reclaim-grace-period
 //       The epoch-reclamation handshake from ruco/reclaim/ebr.h: a reader
 //       pins (slot store, seq_cst fence), loads the root with acquire and
 //       reads the view behind it, then unpins; a reclaimer unlinks the
 //       view with the snapshot's seq_cst CAS, issues its seq_cst fence and
-//       frees the
-//       view (a plain write) only if it finds the slot unpinned.  The
-//       epoch counter between the two sides is abstracted away: one slot
-//       check stands for the grace period.  Invariant: the free never
+//       frees the view (a plain write) only if it finds the slot unpinned.
+//       The epoch counter between the two sides is abstracted away: one
+//       slot check stands for the grace period.  Invariant: the free never
 //       races the read.
 //
-// Four more kernels check the loop's seq_cst sites, over 8-ary and binary
-// nodes, against the store-buffering execution that acquire/release
-// allows (they are not part of protocol_kernels()):
-//
-//   propagate-wide
-//       One node over three leaves, one increment per leaf, the wide
-//       loop's view instantiation (conditional double refresh, no skip).
-//       Invariants: no lost increment (final node == 3), monotone node.
-//
-//   propagate-wide/skip
-//       The same with the Value-cell instantiation's no-change skip (the
-//       f-array counter's loop).
-//
-//   propagate-counter/repeat
-//       The loop on a 2-leaf binary tree where one writer increments
-//       twice and the other once.  Invariants: final node == 3, monotone
-//       node.  At release/acquire it loses an increment.
-//
-//   propagate-max/repeat
-//       The loop with Algorithm A's max on a 2-leaf tree: owner A
-//       writes 1 then 2, owner B writes 3.  Invariants: final node == 3,
-//       monotone node.  At release/acquire it loses B's write (final 2).
-//
-// mutation_sites() weakens each load-bearing mo_* use-site one at a
-// time; run_mutation_driver() asserts the explorer exhibits a concrete
-// violating execution for every one of them -- machine-proving the
-// order table sound *and* minimal.  The loop's node load weakened to
+// mutation_sites() and its three sibling lists weaken each load-bearing
+// site one at a time; run_mutation_driver() asserts the explorer exhibits
+// a concrete violating execution for every one of them -- machine-proving
+// the order table sound *and* minimal.  The loop's node load weakened to
 // relaxed (an early hot-path regression on the binary tree) is a
 // permanently pinned must-fail site.
 #pragma once
@@ -100,7 +105,6 @@
 #include <string>
 #include <vector>
 
-#include "ruco/maxreg/refresh_policy.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/wmm/explore.h"
 
@@ -166,19 +170,20 @@ struct Kernel {
   Invariant invariant;
 };
 
-Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
-                                     const PropagateOrders& o = {});
+/// The kernels over the propagation loop (ruco/farray/wide_propagate.h),
+/// one row each of the table make_propagate_kernel builds from.
+enum class PropagateKernel {
+  kCounterConditional,  // propagate-counter/conditional
+  kCounterAlwaysTwice,  // propagate-counter/always-twice
+  kWide,                // propagate-wide: views, always CAS
+  kWideSkip,            // propagate-wide/skip: Value cells, no-change skip
+  kCounterRepeat,       // propagate-counter/repeat
+  kMaxRepeat,           // propagate-max/repeat: Algorithm A's max
+};
+
+Kernel make_propagate_kernel(PropagateKernel which,
+                             const PropagateOrders& o = {});
 Kernel make_propagate_snapshot_kernel(const PropagateOrders& o = {});
-/// `no_change_skip` selects the Value-cell instantiation of the wide loop
-/// (propagate-wide/skip); without it the kernel is the view instantiation,
-/// which always CASes (propagate-wide).
-Kernel make_propagate_wide_kernel(const PropagateOrders& o = {},
-                                  bool no_change_skip = false);
-/// Release/acquire orders lose an increment here; the shipped ones do not.
-Kernel make_propagate_repeat_kernel(const PropagateOrders& o = {});
-/// Algorithm A's max on a 2-leaf tree: release/acquire orders lose the
-/// larger write here; the shipped ones do not.
-Kernel make_propagate_max_repeat_kernel(const PropagateOrders& o = {});
 Kernel make_root_read_kernel(const PropagateOrders& o = {});
 Kernel make_leaf_handoff_kernel(const PropagateOrders& o = {});
 Kernel make_mcas_publication_kernel(const McasOrders& o = {});

@@ -8,14 +8,6 @@ FaultInjector::FaultInjector(System& sys, FaultPlan plan)
       rng_{plan_.seed},
       fired_(plan_.crash_at.size(), false) {}
 
-std::size_t FaultInjector::live_count() const {
-  std::size_t live = 0;
-  for (ProcId p = 0; p < sys_.num_processes(); ++p) {
-    live += sys_.active(p) ? 1 : 0;
-  }
-  return live;
-}
-
 bool FaultInjector::should_crash(ProcId p) {
   for (std::size_t i = 0; i < plan_.crash_at.size(); ++i) {
     if (fired_[i]) continue;
@@ -30,7 +22,7 @@ bool FaultInjector::should_crash(ProcId p) {
     }
   }
   if (random_crashes_ < plan_.max_random_crashes &&
-      plan_.crash_per_mille != 0 && live_count() > plan_.min_survivors &&
+      plan_.crash_per_mille != 0 && sys_.live_count() > plan_.min_survivors &&
       rng_.chance(plan_.crash_per_mille, 1000)) {
     ++random_crashes_;
     return true;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
+
+#include "ruco/maxreg/refresh_policy.h"
 
 namespace ruco::wmm {
 
@@ -27,16 +31,6 @@ std::string check_plain_reads(const Graph& g, LocId loc, Value expected) {
   return "";
 }
 
-// Appends one mutation site to `out`.
-void add_site(std::vector<MutationSite>& out, std::string id,
-              std::string note, std::function<Kernel()> make) {
-  MutationSite site;
-  site.id = std::move(id);
-  site.note = std::move(note);
-  site.make = std::move(make);
-  out.push_back(std::move(site));
-}
-
 std::string check_monotone(const Graph& g, LocId loc) {
   const auto vals = g.mo_values(loc);
   for (std::size_t i = 0; i + 1 < vals.size(); ++i) {
@@ -51,47 +45,121 @@ std::string check_monotone(const Graph& g, LocId loc) {
   return "";
 }
 
+Value sum(Value l, Value r) { return l + r; }
+Value max_of(Value l, Value r) { return l > r ? l : r; }
+
+// One PropagateKernel: a node over writes.size() leaves, one thread per
+// leaf storing its script in turn, each store followed by the loop.
+struct PropagateRow {
+  const char* name;
+  const char* description;
+  std::vector<std::vector<Value>> writes;  // per leaf
+  Value (*combine)(Value, Value);
+  maxreg::RefreshPolicy policy;
+  bool skip;  // the no-change skip: Value cells take it, views never do
+  Value expected;       // the node's final value
+};
+
+const PropagateRow& propagate_row(PropagateKernel which) {
+  using maxreg::RefreshPolicy;
+  static const PropagateRow kRows[] = {
+      {"propagate-counter/conditional",
+       "the propagation loop on a 2-leaf binary tree, two concurrent "
+       "increments",
+       {{1}, {1}}, sum, RefreshPolicy::kConditional, true, 2},
+      {"propagate-counter/always-twice",
+       "the propagation loop on a 2-leaf binary tree, two concurrent "
+       "increments",
+       {{1}, {1}}, sum, RefreshPolicy::kAlwaysTwice, false, 2},
+      {"propagate-wide",
+       "the wide propagation's view instantiation: one node over three "
+       "leaves, one increment per leaf",
+       {{1}, {1}, {1}}, sum, RefreshPolicy::kConditional, false, 3},
+      {"propagate-wide/skip",
+       "the wide propagation's Value-cell instantiation: one node over "
+       "three leaves, one increment per leaf, no-change skip",
+       {{1}, {1}, {1}}, sum, RefreshPolicy::kConditional, true, 3},
+      {"propagate-counter/repeat",
+       "the propagation loop on a 2-leaf binary tree: one writer increments "
+       "twice, the other once",
+       {{1, 2}, {1}}, sum, RefreshPolicy::kConditional, true, 3},
+      {"propagate-max/repeat",
+       "the propagation loop with Algorithm A's max on a 2-leaf tree: one "
+       "owner writes 1 then 2, the other writes 3",
+       {{1, 2}, {3}}, max_of, RefreshPolicy::kConditional, true, 3},
+  };
+  return kRows[static_cast<std::size_t>(which)];
+}
+
+// make_propagate_kernel for one row, in the shape add_site takes.
+auto propagate_maker(PropagateKernel which) {
+  return [which](const PropagateOrders& o) {
+    return make_propagate_kernel(which, o);
+  };
+}
+
+// Appends the mutation site that weakens `field` of the shipped orders
+// to `weaker` in the kernel `make` builds.
+template <class Orders, class Make>
+void add_site(std::vector<MutationSite>& out, std::string id,
+              std::string note, Make make, std::memory_order Orders::*field,
+              std::memory_order weaker, bool pr4_regression = false) {
+  out.push_back(MutationSite{std::move(id), std::move(note), pr4_regression,
+                             [make, field, weaker] {
+                               Orders o;
+                               o.*field = weaker;
+                               return make(o);
+                             }});
+}
+
 }  // namespace
 
-Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
-                                     const PropagateOrders& o) {
-  const bool conditional = policy == maxreg::RefreshPolicy::kConditional;
+Kernel make_propagate_kernel(PropagateKernel which, const PropagateOrders& o) {
+  const PropagateRow& row = propagate_row(which);
   Kernel k;
-  k.name = conditional ? "propagate-counter/conditional"
-                       : "propagate-counter/always-twice";
-  k.description =
-      "the propagation loop on a 2-leaf binary tree, two concurrent "
-      "increments";
-  auto node = k.program.atomic<Value>("node", 0);  // loc 0
-  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
-  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
-  // One writer per leaf: store the increment, then the propagate loop
-  // transcribed from ruco/farray/wide_propagate.h (combine = sum).
-  auto writer = [=](Atomic<Value> leaf) {
-    return [=] {
-      leaf.store(1, o.leaf_store);
-      for (int round = 0; round < 2; ++round) {
-        Value old_v = node.load(o.node_load);
-        const Value lv = l0.load(o.child_load);
-        const Value rv = l1.load(o.child_load);
-        const Value nv = lv + rv;
-        if (conditional && nv == old_v) break;  // no-change skip
-        if (node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail) &&
-            conditional) {
-          break;  // won CAS: inputs read after our update, node covers us
-        }
+  k.name = row.name;
+  k.description = row.description;
+  const auto node = k.program.atomic<Value>("node", 0);  // loc 0
+  std::vector<Atomic<Value>> leaves;                     // locs 1, 2, ...
+  for (std::size_t i = 0; i < row.writes.size(); ++i) {
+    std::string name = "l";
+    name += std::to_string(i);
+    leaves.push_back(k.program.atomic<Value>(name, 0));
+  }
+  // farray::propagate_wide (ruco/farray/wide_propagate.h): load the node,
+  // load the children in order and combine them, skip an unchanged node
+  // if the row takes the skip, CAS; a won CAS ends a conditional refresh.
+  const auto propagate = [=, combine = row.combine,
+                          conditional = row.policy ==
+                                        maxreg::RefreshPolicy::kConditional,
+                          skip = row.skip] {
+    for (int round = 0; round < 2; ++round) {
+      Value old_v = node.load(o.node_load);
+      Value nv = leaves[0].load(o.child_load);
+      for (std::size_t i = 1; i < leaves.size(); ++i) {
+        nv = combine(nv, leaves[i].load(o.child_load));
       }
-    };
+      if (skip && nv == old_v) break;
+      if (node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail) &&
+          conditional) {
+        break;  // won CAS: inputs read after our update, node covers us
+      }
+    }
   };
-  k.program.thread(writer(l0));
-  k.program.thread(writer(l1));
-  k.invariant = [](const Graph& g) -> std::string {
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    k.program.thread([=, leaf = leaves[i], writes = row.writes[i]] {
+      for (const Value v : writes) {
+        leaf.store(v, o.leaf_store);
+        propagate();
+      }
+    });
+  }
+  k.invariant = [expected = row.expected](const Graph& g) -> std::string {
     if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
-    if (g.final_value(0) != 2) {
-      std::ostringstream out;
-      out << "lost increment: final node value " << g.final_value(0)
-          << ", expected 2";
-      return out.str();
+    if (g.final_value(0) != expected) {
+      return "lost update: final node value " +
+             std::to_string(g.final_value(0)) + ", expected " +
+             std::to_string(expected);
     }
     return "";
   };
@@ -142,121 +210,6 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
     return check_plain_reads(g, 4, 1);
   };
   return k;
-}
-
-Kernel make_propagate_wide_kernel(const PropagateOrders& o,
-                                  bool no_change_skip) {
-  Kernel k;
-  k.name = no_change_skip ? "propagate-wide/skip" : "propagate-wide";
-  k.description =
-      no_change_skip
-          ? "the wide propagation's Value-cell instantiation: one node over "
-            "three leaves, one increment per leaf, no-change skip"
-          : "the wide propagation's view instantiation: one node over three "
-            "leaves, one increment per leaf";
-  auto node = k.program.atomic<Value>("node", 0);  // loc 0
-  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
-  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
-  auto l2 = k.program.atomic<Value>("l2", 0);      // loc 3
-  // farray::propagate_wide with combine = sum, stop on a won CAS.  Views
-  // never take the no-change skip (a merged view never equals the node's
-  // pointer); Value cells do.
-  auto writer = [=](Atomic<Value> leaf) {
-    return [=] {
-      leaf.store(1, o.leaf_store);
-      for (int round = 0; round < 2; ++round) {
-        Value old_v = node.load(o.node_load);
-        const Value a = l0.load(o.child_load);
-        const Value b = l1.load(o.child_load);
-        const Value c = l2.load(o.child_load);
-        if (no_change_skip && a + b + c == old_v) break;
-        if (node.compare_exchange_strong(old_v, a + b + c, o.cas_ok,
-                                         o.cas_fail)) {
-          break;
-        }
-      }
-    };
-  };
-  k.program.thread(writer(l0));
-  k.program.thread(writer(l1));
-  k.program.thread(writer(l2));
-  k.invariant = [](const Graph& g) -> std::string {
-    if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
-    if (g.final_value(0) != 3) {
-      return "lost update: final node value " +
-             std::to_string(g.final_value(0)) + ", expected 3";
-    }
-    return "";
-  };
-  return k;
-}
-
-namespace {
-
-// A 2-leaf tree where owner A writes `a_writes` in turn to leaf 0 and
-// owner B writes `b_write` to leaf 1, each write followed by the
-// conditional loop of ruco/farray/wide_propagate.h with `combine`.
-// Invariants: the node is monotone and ends at `expected`.
-Kernel make_repeat_kernel(std::string name, std::string description,
-                          const PropagateOrders& o, Value (*combine)(Value, Value),
-                          std::vector<Value> a_writes, Value b_write,
-                          Value expected) {
-  Kernel k;
-  k.name = std::move(name);
-  k.description = std::move(description);
-  auto node = k.program.atomic<Value>("node", 0);  // loc 0
-  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
-  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
-  auto propagate = [=] {
-    for (int round = 0; round < 2; ++round) {
-      Value old_v = node.load(o.node_load);
-      const Value lv = l0.load(o.child_load);
-      const Value rv = l1.load(o.child_load);
-      const Value nv = combine(lv, rv);
-      if (nv == old_v) break;  // no-change skip
-      if (node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail)) {
-        break;
-      }
-    }
-  };
-  k.program.thread([=] {
-    for (const Value v : a_writes) {
-      l0.store(v, o.leaf_store);
-      propagate();
-    }
-  });
-  k.program.thread([=] {
-    l1.store(b_write, o.leaf_store);
-    propagate();
-  });
-  k.invariant = [expected](const Graph& g) -> std::string {
-    if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
-    if (g.final_value(0) != expected) {
-      return "lost update: final node value " +
-             std::to_string(g.final_value(0)) + ", expected " +
-             std::to_string(expected);
-    }
-    return "";
-  };
-  return k;
-}
-
-}  // namespace
-
-Kernel make_propagate_repeat_kernel(const PropagateOrders& o) {
-  return make_repeat_kernel(
-      "propagate-counter/repeat",
-      "the propagation loop on a 2-leaf binary tree: one writer increments "
-      "twice, the other once",
-      o, [](Value l, Value r) { return l + r; }, {1, 2}, 1, 3);
-}
-
-Kernel make_propagate_max_repeat_kernel(const PropagateOrders& o) {
-  return make_repeat_kernel(
-      "propagate-max/repeat",
-      "the propagation loop with Algorithm A's max on a 2-leaf tree: one "
-      "owner writes 1 then 2, the other writes 3",
-      o, [](Value l, Value r) { return l > r ? l : r; }, {1, 2}, 3, 3);
 }
 
 Kernel make_root_read_kernel(const PropagateOrders& o) {
@@ -476,10 +429,8 @@ Kernel make_reclaim_grace_period_kernel(const ReclaimOrders& o) {
 
 std::vector<Kernel> protocol_kernels() {
   std::vector<Kernel> out;
-  out.push_back(
-      make_propagate_counter_kernel(maxreg::RefreshPolicy::kConditional));
-  out.push_back(
-      make_propagate_counter_kernel(maxreg::RefreshPolicy::kAlwaysTwice));
+  out.push_back(make_propagate_kernel(PropagateKernel::kCounterConditional));
+  out.push_back(make_propagate_kernel(PropagateKernel::kCounterAlwaysTwice));
   out.push_back(make_propagate_snapshot_kernel());
   out.push_back(make_root_read_kernel());
   out.push_back(make_leaf_handoff_kernel());
@@ -496,182 +447,115 @@ ExploreResult check_kernel(const Kernel& kernel, std::size_t max_violations) {
 }
 
 std::vector<MutationSite> mutation_sites() {
-  using maxreg::RefreshPolicy;
+  using P = PropagateOrders;
+  using M = McasOrders;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   std::vector<MutationSite> out;
 
-  auto add = [&](std::string id, std::string note, bool pr4,
-                 std::function<Kernel()> make) {
-    out.push_back(MutationSite{std::move(id), std::move(note), pr4,
-                               std::move(make)});
-  };
-
-  for (const RefreshPolicy policy :
-       {RefreshPolicy::kConditional, RefreshPolicy::kAlwaysTwice}) {
-    const bool conditional = policy == RefreshPolicy::kConditional;
-    const std::string kname = conditional
-                                  ? "propagate-counter/conditional"
-                                  : "propagate-counter/always-twice";
-    add(kname + ":node_load sc->rlx",
-        "the PR-4 bug: a fresh node beside stale child loads lets the "
-        "no-change skip drop a sibling's increment or the CAS regress "
-        "the monotone aggregate",
-        /*pr4=*/conditional, [policy] {
-          PropagateOrders o;
-          o.node_load = std::memory_order_relaxed;
-          return make_propagate_counter_kernel(policy, o);
-        });
-    add(kname + ":cas_ok sc->rlx",
-        "a relaxed installing CAS publishes nothing and leaves the SC "
-        "order: the sibling's node load gets no synchronizes-with edge and "
-        "its child loads may be stale",
-        /*pr4=*/false, [policy] {
-          PropagateOrders o;
-          o.cas_ok = std::memory_order_relaxed;
-          return make_propagate_counter_kernel(policy, o);
-        });
+  for (const PropagateKernel which : {PropagateKernel::kCounterConditional,
+                                      PropagateKernel::kCounterAlwaysTwice}) {
+    const std::string kname = propagate_row(which).name;
+    add_site(out, kname + ":node_load sc->rlx",
+             "the PR-4 bug: a fresh node beside stale child loads lets the "
+             "no-change skip drop a sibling's increment or the CAS regress "
+             "the monotone aggregate",
+             propagate_maker(which), &P::node_load, kRelaxed,
+             /*pr4_regression=*/which == PropagateKernel::kCounterConditional);
+    add_site(out, kname + ":cas_ok sc->rlx",
+             "a relaxed installing CAS publishes nothing and leaves the SC "
+             "order: the sibling's node load gets no synchronizes-with edge "
+             "and its child loads may be stale",
+             propagate_maker(which), &P::cas_ok, kRelaxed);
   }
 
-  add("propagate-snapshot:child_load sc->rlx",
-      "a relaxed child load sees the leaf but not the payload written "
-      "before it: torn snapshot view (data race)",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.child_load = std::memory_order_relaxed;
-        return make_propagate_snapshot_kernel(o);
-      });
-  add("propagate-snapshot:leaf_store sc->rlx",
-      "a relaxed leaf store publishes nothing: the sibling dereferences "
-      "an unpublished payload (data race)",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.leaf_store = std::memory_order_relaxed;
-        return make_propagate_snapshot_kernel(o);
-      });
+  add_site(out, "propagate-snapshot:child_load sc->rlx",
+           "a relaxed child load sees the leaf but not the payload written "
+           "before it: torn snapshot view (data race)",
+           make_propagate_snapshot_kernel, &P::child_load, kRelaxed);
+  add_site(out, "propagate-snapshot:leaf_store sc->rlx",
+           "a relaxed leaf store publishes nothing: the sibling dereferences "
+           "an unpublished payload (data race)",
+           make_propagate_snapshot_kernel, &P::leaf_store, kRelaxed);
 
-  add("root-read:root_read acq->rlx",
-      "the read fast path sees the installed root but races the data "
-      "published before the install",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.root_read = std::memory_order_relaxed;
-        return make_root_read_kernel(o);
-      });
-  add("root-read:cas_ok sc->rlx",
-      "a relaxed install CAS gives the acquire fast-path load no "
-      "release to synchronize with",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.cas_ok = std::memory_order_relaxed;
-        return make_root_read_kernel(o);
-      });
+  add_site(out, "root-read:root_read acq->rlx",
+           "the read fast path sees the installed root but races the data "
+           "published before the install",
+           make_root_read_kernel, &P::root_read, kRelaxed);
+  add_site(out, "root-read:cas_ok sc->rlx",
+           "a relaxed install CAS gives the acquire fast-path load no "
+           "release to synchronize with",
+           make_root_read_kernel, &P::cas_ok, kRelaxed);
 
-  add("leaf-handoff:leaf_store sc->rlx",
-      "the helper observes the leaf but races the writer's payload",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.leaf_store = std::memory_order_relaxed;
-        return make_leaf_handoff_kernel(o);
-      });
-  add("leaf-handoff:child_load sc->rlx",
-      "a relaxed helper load discards the writer's release: payload race",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.child_load = std::memory_order_relaxed;
-        return make_leaf_handoff_kernel(o);
-      });
+  add_site(out, "leaf-handoff:leaf_store sc->rlx",
+           "the helper observes the leaf but races the writer's payload",
+           make_leaf_handoff_kernel, &P::leaf_store, kRelaxed);
+  add_site(out, "leaf-handoff:child_load sc->rlx",
+           "a relaxed helper load discards the writer's release: payload "
+           "race",
+           make_leaf_handoff_kernel, &P::child_load, kRelaxed);
 
-  add("mcas-publication:install_ok acq_rel->rlx",
-      "a relaxed install CAS publishes no descriptor fields: helpers "
-      "read a torn descriptor",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.install_ok = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
-  add("mcas-publication:cell_load acq->rlx",
-      "a relaxed helper cell load sees the descriptor pointer but races "
-      "its fields",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.cell_load = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
-  add("mcas-publication:status_decide acq_rel->rlx",
-      "a relaxed decide CAS publishes no helper-side writes: the owner "
-      "races the helper's result",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.status_decide = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
-  add("mcas-publication:status_read acq->rlx",
-      "a relaxed owner status load discards the decide CAS's release: "
-      "result race",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.status_read = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
+  add_site(out, "mcas-publication:install_ok acq_rel->rlx",
+           "a relaxed install CAS publishes no descriptor fields: helpers "
+           "read a torn descriptor",
+           make_mcas_publication_kernel, &M::install_ok, kRelaxed);
+  add_site(out, "mcas-publication:cell_load acq->rlx",
+           "a relaxed helper cell load sees the descriptor pointer but races "
+           "its fields",
+           make_mcas_publication_kernel, &M::cell_load, kRelaxed);
+  add_site(out, "mcas-publication:status_decide acq_rel->rlx",
+           "a relaxed decide CAS publishes no helper-side writes: the owner "
+           "races the helper's result",
+           make_mcas_publication_kernel, &M::status_decide, kRelaxed);
+  add_site(out, "mcas-publication:status_read acq->rlx",
+           "a relaxed owner status load discards the decide CAS's release: "
+           "result race",
+           make_mcas_publication_kernel, &M::status_read, kRelaxed);
 
   return out;
 }
 
 std::vector<MutationSite> reclaim_mutation_sites() {
+  using R = ReclaimOrders;
   std::vector<MutationSite> out;
   add_site(out, "reclaim-grace-period:pin_fence sc->acq_rel",
-      "without the seq_cst pin fence the reader's root load may miss the "
-      "unlink while the reclaimer misses the pin (store buffering): the "
-      "free races the read of a view the reader still holds",
-      [] {
-        ReclaimOrders o;
-        o.pin_fence = std::memory_order_acq_rel;
-        return make_reclaim_grace_period_kernel(o);
-      });
+           "without the seq_cst pin fence the reader's root load may miss "
+           "the unlink while the reclaimer misses the pin (store "
+           "buffering): the free races the read of a view the reader still "
+           "holds",
+           make_reclaim_grace_period_kernel, &R::pin_fence,
+           std::memory_order_acq_rel);
   add_site(out, "reclaim-grace-period:reclaim_fence sc->acq_rel",
-      "without the seq_cst fence after the unlink the epoch/slot check may "
-      "miss the pin while the reader misses the unlink (store buffering)",
-      [] {
-        ReclaimOrders o;
-        o.reclaim_fence = std::memory_order_acq_rel;
-        return make_reclaim_grace_period_kernel(o);
-      });
+           "without the seq_cst fence after the unlink the epoch/slot check "
+           "may miss the pin while the reader misses the unlink (store "
+           "buffering)",
+           make_reclaim_grace_period_kernel, &R::reclaim_fence,
+           std::memory_order_acq_rel);
   add_site(out, "reclaim-grace-period:slot_load acq->rlx",
-      "a relaxed slot load sees the unpin but not the reads before it: "
-      "the free races the reader's last read",
-      [] {
-        ReclaimOrders o;
-        o.slot_load = std::memory_order_relaxed;
-        return make_reclaim_grace_period_kernel(o);
-      });
+           "a relaxed slot load sees the unpin but not the reads before it: "
+           "the free races the reader's last read",
+           make_reclaim_grace_period_kernel, &R::slot_load,
+           std::memory_order_relaxed);
   add_site(out, "reclaim-grace-period:unpin_store rel->rlx",
-      "a relaxed unpin publishes nothing: the reclaimer that sees it "
-      "frees under the reader's read",
-      [] {
-        ReclaimOrders o;
-        o.unpin_store = std::memory_order_relaxed;
-        return make_reclaim_grace_period_kernel(o);
-      });
+           "a relaxed unpin publishes nothing: the reclaimer that sees it "
+           "frees under the reader's read",
+           make_reclaim_grace_period_kernel, &R::unpin_store,
+           std::memory_order_relaxed);
   return out;
 }
 
 std::vector<MutationSite> mcas_read_mutation_sites() {
   std::vector<MutationSite> out;
   add_site(out, "mcas-resolving-read:resolve_status_load acq->rlx",
-      "a relaxed status load can see SUCCEEDED without the acquisition of "
-      "the other word: the next read returns that word's old value",
-      [] {
-        McasOrders o;
-        o.resolve_status_load = std::memory_order_relaxed;
-        return make_mcas_resolving_read_kernel(o);
-      });
+           "a relaxed status load can see SUCCEEDED without the acquisition "
+           "of the other word: the next read returns that word's old value",
+           make_mcas_resolving_read_kernel, &McasOrders::resolve_status_load,
+           std::memory_order_relaxed);
   add_site(out, "mcas-resolving-read:release_ok rel->rlx",
-      "a relaxed phase-2 release publishes a word's new value without the "
-      "acquisition of the other: the next read returns its old value",
-      [] {
-        McasOrders o;
-        o.release_ok = std::memory_order_relaxed;
-        return make_mcas_resolving_read_kernel(o);
-      });
+           "a relaxed phase-2 release publishes a word's new value without "
+           "the acquisition of the other: the next read returns its old "
+           "value",
+           make_mcas_resolving_read_kernel, &McasOrders::release_ok,
+           std::memory_order_relaxed);
   return out;
 }
 
@@ -705,20 +589,12 @@ std::vector<MutationSite> wide_mutation_sites() {
   };
   std::vector<MutationSite> out;
   for (const Weakening& w : kWeakenings) {
-    const auto weakened = [w] {
-      PropagateOrders o;
-      o.*w.field = w.weaker;
-      return o;
-    };
-    add_site(out, std::string{"propagate-wide:"} + w.site, w.note,
-             [weakened] { return make_propagate_wide_kernel(weakened()); });
-    add_site(out, std::string{"propagate-wide/skip:"} + w.site, w.note,
-             [weakened] {
-               return make_propagate_wide_kernel(weakened(),
-                                                 /*no_change_skip=*/true);
-             });
-    add_site(out, std::string{"propagate-counter/repeat:"} + w.site, w.note,
-             [weakened] { return make_propagate_repeat_kernel(weakened()); });
+    for (const PropagateKernel which :
+         {PropagateKernel::kWide, PropagateKernel::kWideSkip,
+          PropagateKernel::kCounterRepeat}) {
+      add_site(out, std::string{propagate_row(which).name} + ":" + w.site,
+               w.note, propagate_maker(which), w.field, w.weaker);
+    }
   }
   return out;
 }

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "ruco/maxreg/refresh_policy.h"
 #include "ruco/sim/model_checker.h"
 #include "ruco/sim/system.h"
 #include "ruco/util/rng.h"
@@ -38,7 +37,7 @@
 namespace ruco {
 namespace {
 
-using maxreg::RefreshPolicy;
+using wmm::PropagateKernel;
 using OutcomeSet = std::set<std::vector<Value>>;
 
 OutcomeSet as_set(const std::vector<std::vector<Value>>& outcomes) {
@@ -302,11 +301,102 @@ TEST(WmmKernels, ShippedOrdersHaveZeroViolations) {
   }
 }
 
+// Every kernel `rucosim wmm` checks, in its order.
+std::vector<wmm::Kernel> every_kernel() {
+  std::vector<wmm::Kernel> out = wmm::protocol_kernels();
+  out.push_back(wmm::make_mcas_resolving_read_kernel());
+  for (const PropagateKernel which :
+       {PropagateKernel::kWide, PropagateKernel::kWideSkip,
+        PropagateKernel::kCounterRepeat, PropagateKernel::kMaxRepeat}) {
+    out.push_back(wmm::make_propagate_kernel(which));
+  }
+  return out;
+}
+
+TEST(WmmKernels, EveryKernelKeepsItsExecutionCount) {
+  // The explorer's execution and state counts at the shipped orders, and
+  // the ordered ids of every mutation site.  A change to how the kernels
+  // are built must leave the operations each thread issues, and with
+  // them these counts, as they are.
+  struct Count {
+    const char* name;
+    std::uint64_t executions;
+    std::uint64_t states;
+  };
+  static constexpr Count kCounts[] = {
+      {"propagate-counter/conditional", 10, 98},
+      {"propagate-counter/always-twice", 72, 789},
+      {"propagate-snapshot", 10, 153},
+      {"root-read", 2, 14},
+      {"leaf-handoff", 2, 10},
+      {"mcas-publication", 3, 18},
+      {"reclaim-grace-period", 5, 43},
+      {"mcas-resolving-read", 12, 74},
+      {"propagate-wide", 864, 14099},
+      {"propagate-wide/skip", 558, 11405},
+      {"propagate-counter/repeat", 50, 562},
+      {"propagate-max/repeat", 35, 447},
+  };
+  const std::vector<wmm::Kernel> kernels = every_kernel();
+  ASSERT_EQ(kernels.size(), std::size(kCounts));
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    SCOPED_TRACE(kCounts[i].name);
+    EXPECT_EQ(kernels[i].name, kCounts[i].name);
+    const wmm::ExploreResult res = wmm::check_kernel(kernels[i]);
+    EXPECT_TRUE(res.complete);
+    EXPECT_TRUE(res.ok());
+    EXPECT_EQ(res.executions, kCounts[i].executions);
+    EXPECT_EQ(res.states, kCounts[i].states);
+  }
+
+  std::vector<std::string> ids;
+  for (const auto& sites :
+       {wmm::mutation_sites(), wmm::reclaim_mutation_sites(),
+        wmm::mcas_read_mutation_sites(), wmm::wide_mutation_sites()}) {
+    for (const wmm::MutationSite& site : sites) ids.push_back(site.id);
+  }
+  const std::vector<std::string> expected_ids = {
+      "propagate-counter/conditional:node_load sc->rlx",
+      "propagate-counter/conditional:cas_ok sc->rlx",
+      "propagate-counter/always-twice:node_load sc->rlx",
+      "propagate-counter/always-twice:cas_ok sc->rlx",
+      "propagate-snapshot:child_load sc->rlx",
+      "propagate-snapshot:leaf_store sc->rlx",
+      "root-read:root_read acq->rlx",
+      "root-read:cas_ok sc->rlx",
+      "leaf-handoff:leaf_store sc->rlx",
+      "leaf-handoff:child_load sc->rlx",
+      "mcas-publication:install_ok acq_rel->rlx",
+      "mcas-publication:cell_load acq->rlx",
+      "mcas-publication:status_decide acq_rel->rlx",
+      "mcas-publication:status_read acq->rlx",
+      "reclaim-grace-period:pin_fence sc->acq_rel",
+      "reclaim-grace-period:reclaim_fence sc->acq_rel",
+      "reclaim-grace-period:slot_load acq->rlx",
+      "reclaim-grace-period:unpin_store rel->rlx",
+      "mcas-resolving-read:resolve_status_load acq->rlx",
+      "mcas-resolving-read:release_ok rel->rlx",
+      "propagate-wide:leaf_store sc->rel",
+      "propagate-wide/skip:leaf_store sc->rel",
+      "propagate-counter/repeat:leaf_store sc->rel",
+      "propagate-wide:node_load sc->acq",
+      "propagate-wide/skip:node_load sc->acq",
+      "propagate-counter/repeat:node_load sc->acq",
+      "propagate-wide:child_load sc->acq",
+      "propagate-wide/skip:child_load sc->acq",
+      "propagate-counter/repeat:child_load sc->acq",
+      "propagate-wide:cas_ok sc->rel",
+      "propagate-wide/skip:cas_ok sc->rel",
+      "propagate-counter/repeat:cas_ok sc->rel",
+  };
+  EXPECT_EQ(ids, expected_ids);
+}
+
 TEST(WmmKernels, CounterKernelCoversBothOutcomesOfTheRace) {
   // Sanity that the kernel actually exercises contention: both the
   // one-round and two-round writer paths must appear among executions.
   const wmm::Kernel kernel =
-      wmm::make_propagate_counter_kernel(RefreshPolicy::kConditional);
+      wmm::make_propagate_kernel(PropagateKernel::kCounterConditional);
   const wmm::ExploreResult res = wmm::check_kernel(kernel);
   EXPECT_GE(res.executions, 2u);
   // Every consistent execution ends at 2 -- that is the invariant -- so
@@ -376,9 +466,9 @@ TEST(WmmKernels, WideKernelsAreCleanAtTheSnapshotOrders) {
   // under one node, for views (always CAS) and for Value cells (no-change
   // skip), nor with one writer updating twice.
   for (const wmm::Kernel& kernel :
-       {wmm::make_propagate_wide_kernel(),
-        wmm::make_propagate_wide_kernel({}, /*no_change_skip=*/true),
-        wmm::make_propagate_repeat_kernel()}) {
+       {wmm::make_propagate_kernel(PropagateKernel::kWide),
+        wmm::make_propagate_kernel(PropagateKernel::kWideSkip),
+        wmm::make_propagate_kernel(PropagateKernel::kCounterRepeat)}) {
     SCOPED_TRACE(kernel.name);
     const wmm::ExploreResult res = wmm::check_kernel(kernel);
     EXPECT_TRUE(res.complete);
@@ -424,16 +514,19 @@ TEST(WmmKernels, BinaryFArrayOrdersLoseARepeatedIncrement) {
   // under RC11.  The
   // shipped orders (PropagateOrders{}, the same in every build) are the
   // four seq_cst sites and do not.
-  const wmm::ExploreResult weak = wmm::check_kernel(
-      wmm::make_propagate_repeat_kernel(wmm::release_acquire_orders()), 1);
+  const wmm::ExploreResult weak =
+      wmm::check_kernel(wmm::make_propagate_kernel(
+                            PropagateKernel::kCounterRepeat,
+                            wmm::release_acquire_orders()),
+                        1);
   ASSERT_FALSE(weak.ok());
   EXPECT_EQ(weak.violations.front().kind, "invariant");
   EXPECT_NE(weak.violations.front().message.find("final node value 2"),
             std::string::npos)
       << weak.violations.front().message;
 
-  const wmm::ExploreResult as_built =
-      wmm::check_kernel(wmm::make_propagate_repeat_kernel({}));
+  const wmm::ExploreResult as_built = wmm::check_kernel(
+      wmm::make_propagate_kernel(PropagateKernel::kCounterRepeat));
   EXPECT_TRUE(as_built.complete);
   EXPECT_TRUE(as_built.ok()) << "the shipped seq_cst sites close the gap";
 }
@@ -443,17 +536,19 @@ TEST(WmmKernels, AlgorithmAOrdersLoseARepeatedMaxWrite) {
   // writes 3.  At release/acquire B's write can go missing (final 2): A's
   // second refresh reads B's leaf from before its store and beats B's
   // second round.  Clean at the shipped seq_cst sites.
-  const wmm::ExploreResult weak = wmm::check_kernel(
-      wmm::make_propagate_max_repeat_kernel(wmm::release_acquire_orders()),
-      1);
+  const wmm::ExploreResult weak =
+      wmm::check_kernel(wmm::make_propagate_kernel(
+                            PropagateKernel::kMaxRepeat,
+                            wmm::release_acquire_orders()),
+                        1);
   ASSERT_FALSE(weak.ok());
   EXPECT_EQ(weak.violations.front().kind, "invariant");
   EXPECT_NE(weak.violations.front().message.find("final node value 2"),
             std::string::npos)
       << weak.violations.front().message;
 
-  const wmm::ExploreResult sc =
-      wmm::check_kernel(wmm::make_propagate_max_repeat_kernel());
+  const wmm::ExploreResult sc = wmm::check_kernel(
+      wmm::make_propagate_kernel(PropagateKernel::kMaxRepeat));
   EXPECT_TRUE(sc.complete);
   EXPECT_GT(sc.executions, 1u);
   EXPECT_TRUE(sc.ok()) << (sc.violations.empty()
@@ -484,8 +579,8 @@ TEST(WmmMutation, Pr4NodeLoadRegressionStaysMustFail) {
   // lost increment or monotonicity regression on the conditional policy.
   wmm::PropagateOrders weak;
   weak.node_load = std::memory_order_relaxed;
-  const wmm::Kernel kernel = wmm::make_propagate_counter_kernel(
-      RefreshPolicy::kConditional, weak);
+  const wmm::Kernel kernel =
+      wmm::make_propagate_kernel(PropagateKernel::kCounterConditional, weak);
   const wmm::ExploreResult res = wmm::check_kernel(kernel, 1);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.violations.front().kind, "invariant");
@@ -499,12 +594,12 @@ TEST(WmmMutation, OrderTableIsMinimalWhereItClaimsToBe)
   // covered by leaf-handoff, and the leaf stores of a third refresher's
   // owner, covered by the store-buffering kernels) and the CAS failure
   // order.
-  for (const RefreshPolicy policy :
-       {RefreshPolicy::kConditional, RefreshPolicy::kAlwaysTwice}) {
+  for (const PropagateKernel which : {PropagateKernel::kCounterConditional,
+                                      PropagateKernel::kCounterAlwaysTwice}) {
     wmm::PropagateOrders o;
     o.child_load = std::memory_order_relaxed;
     const wmm::ExploreResult res =
-        wmm::check_kernel(wmm::make_propagate_counter_kernel(policy, o));
+        wmm::check_kernel(wmm::make_propagate_kernel(which, o));
     EXPECT_TRUE(res.complete);
     EXPECT_TRUE(res.ok())
         << "counter-kernel child loads should not be load-bearing";
@@ -512,7 +607,7 @@ TEST(WmmMutation, OrderTableIsMinimalWhereItClaimsToBe)
   wmm::PropagateOrders o;
   o.cas_fail = std::memory_order_relaxed;
   const wmm::ExploreResult res = wmm::check_kernel(
-      wmm::make_propagate_counter_kernel(RefreshPolicy::kConditional, o));
+      wmm::make_propagate_kernel(PropagateKernel::kCounterConditional, o));
   EXPECT_TRUE(res.ok()) << "the CAS failure order is not load-bearing";
 }
 
@@ -555,8 +650,8 @@ TEST(WmmExplorer, RendersCompleteExecutions) {
   // The dump must mention threads, orders and modification orders.
   wmm::PropagateOrders weak;
   weak.node_load = std::memory_order_relaxed;
-  const wmm::Kernel kernel = wmm::make_propagate_counter_kernel(
-      RefreshPolicy::kConditional, weak);
+  const wmm::Kernel kernel =
+      wmm::make_propagate_kernel(PropagateKernel::kCounterConditional, weak);
   const wmm::ExploreResult res = wmm::check_kernel(kernel, 1);
   ASSERT_FALSE(res.violations.empty());
   const std::string& dump = res.violations.front().dump;

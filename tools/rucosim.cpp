@@ -566,11 +566,12 @@ int cmd_wmm(const Args& args) {
       {"kernel", "executions", "states", "violations", "complete", "verdict"}};
   std::vector<ruco::wmm::Kernel> kernels = ruco::wmm::protocol_kernels();
   kernels.push_back(ruco::wmm::make_mcas_resolving_read_kernel());
-  kernels.push_back(ruco::wmm::make_propagate_wide_kernel());
-  kernels.push_back(
-      ruco::wmm::make_propagate_wide_kernel({}, /*no_change_skip=*/true));
-  kernels.push_back(ruco::wmm::make_propagate_repeat_kernel());
-  kernels.push_back(ruco::wmm::make_propagate_max_repeat_kernel());
+  using ruco::wmm::PropagateKernel;
+  for (const PropagateKernel which :
+       {PropagateKernel::kWide, PropagateKernel::kWideSkip,
+        PropagateKernel::kCounterRepeat, PropagateKernel::kMaxRepeat}) {
+    kernels.push_back(ruco::wmm::make_propagate_kernel(which));
+  }
   for (const auto& kernel : kernels) {
     const auto res = ruco::wmm::check_kernel(kernel, max_violations);
     const bool pass = res.ok() && res.complete;
