@@ -64,7 +64,8 @@ class Ctx {
   /// to 1 -- iff every entry matches its expected value, atomically
   /// installing all desired values.  One step.  Throws
   /// std::invalid_argument on an empty entry list (a 0-CAS is not an event
-  /// on any object and would otherwise silently target object 0).
+  /// on any object and would otherwise silently target object 0) and on
+  /// more than 65535 entries (Event::kcas_count's range).
   [[nodiscard]] auto kcas(std::vector<KcasEntry> entries);
 
   /// History annotations for the linearizability checker; not steps.
@@ -201,7 +202,9 @@ class System {
   [[nodiscard]] bool active(ProcId p) const {
     return procs_[p].has_pending;
   }
-  /// The enabled event of p, or nullptr if p completed.
+  /// The enabled event of p, or nullptr if p completed.  A k-CAS event's
+  /// words (Pending::kcas) stay valid until p's next step, its crash, or
+  /// reset().
   [[nodiscard]] const Pending* enabled(ProcId p) const {
     return procs_[p].has_pending ? &procs_[p].pending : nullptr;
   }
@@ -383,24 +386,39 @@ struct PrimAwaiter {
   }
 };
 
+/// Awaitable for one k-CAS.  It owns the words: the awaiter lives in the
+/// coroutine frame for as long as the process is suspended on it, which is
+/// exactly how long the enabled event's span into them must stay valid.
+struct KcasAwaiter : PrimAwaiter {
+  std::vector<KcasEntry> words;
+
+  void await_suspend(std::coroutine_handle<> h) noexcept {
+    pending.kcas = words;
+    PrimAwaiter::await_suspend(h);
+  }
+};
+
 inline auto Ctx::read(ObjectId o) noexcept {
-  return PrimAwaiter{this, Pending{o, Prim::kRead, 0, 0, {}}};
+  return PrimAwaiter{this, Pending{.obj = o, .prim = Prim::kRead}};
 }
 inline auto Ctx::write(ObjectId o, Value v) noexcept {
-  return PrimAwaiter{this, Pending{o, Prim::kWrite, v, 0, {}}};
+  return PrimAwaiter{this, Pending{.arg = v, .obj = o, .prim = Prim::kWrite}};
 }
 inline auto Ctx::cas(ObjectId o, Value expected, Value desired) noexcept {
-  return PrimAwaiter{this, Pending{o, Prim::kCas, desired, expected, {}}};
+  return PrimAwaiter{this, Pending{.arg = desired,
+                                   .expected = expected,
+                                   .obj = o,
+                                   .prim = Prim::kCas}};
 }
 inline auto Ctx::kcas(std::vector<KcasEntry> entries) {
   if (entries.empty()) {
     throw std::invalid_argument{"Ctx::kcas: empty entry list"};
   }
-  Pending pending;
-  pending.prim = Prim::kKcas;
-  pending.obj = entries.front().obj;
-  pending.kcas = std::move(entries);
-  return PrimAwaiter{this, std::move(pending)};
+  if (entries.size() > UINT16_MAX) {
+    throw std::invalid_argument{"Ctx::kcas: more than 65535 words"};
+  }
+  const Pending pending{.obj = entries.front().obj, .prim = Prim::kKcas};
+  return KcasAwaiter{{this, pending}, std::move(entries)};
 }
 
 /// Re-executes `script` on a fresh system by stepping each event's process

@@ -8,7 +8,7 @@
 // in three lists: the seven of protocol_kernels(), which the repository
 // benchmark's verify workload runs, mcas-resolving-read, and four
 // store-buffering kernels over the propagation loop.  rucosim wmm and
-// wmm_test run all twelve.
+// wmm_test run all twelve (all_kernels()).
 //
 // Six of them are rows of one table over a single transcription of
 // farray::propagate_wide (ruco/farray/wide_propagate.h), built by
@@ -194,6 +194,12 @@ Kernel make_reclaim_grace_period_kernel(const ReclaimOrders& o = {});
 /// violations, search complete.
 std::vector<Kernel> protocol_kernels();
 
+/// All twelve kernels, in the order rucosim wmm and wmm_test check them:
+/// protocol_kernels(), mcas-resolving-read, then the four store-buffering
+/// rows (propagate-wide, propagate-wide/skip, propagate-counter/repeat,
+/// propagate-max/repeat).
+std::vector<Kernel> all_kernels();
+
 /// Explore a kernel with its invariant installed.
 ExploreResult check_kernel(const Kernel& kernel,
                            std::size_t max_violations = 4);
@@ -221,6 +227,11 @@ std::vector<MutationSite> mcas_read_mutation_sites();
 /// propagate-counter/repeat.  Kept out of mutation_sites() for the same
 /// reason; rucosim wmm and wmm_test run them.
 std::vector<MutationSite> wide_mutation_sites();
+
+/// All four site lists, in order: mutation_sites(),
+/// reclaim_mutation_sites(), mcas_read_mutation_sites(),
+/// wide_mutation_sites().  rucosim wmm and wmm_test run them all.
+std::vector<MutationSite> all_mutation_sites();
 
 struct MutationOutcome {
   std::string id;

@@ -71,18 +71,18 @@ void knowledge_pass(const Trace& trace, std::size_t num_processes,
         // success it is visible on every object whose value changed --
         // which, since all expected values matched, is exactly the entries
         // with desired != expected.
-        for (const auto& entry : e.kcas) {
+        for (const auto& entry : trace.words(e)) {
           aw.unite(objects[entry.obj].fam);
         }
         if (e.observed != 0) {
-          for (const auto& entry : e.kcas) {
+          for (const auto& entry : trace.words(e)) {
             if (entry.desired == entry.expected) continue;
             ObjectInfo& target = objects[entry.obj];
             target.contribs.push_back(Contribution{i, e.proc, aw});
             target.fam.unite(aw);
           }
         }
-        for (const auto& entry : e.kcas) {
+        for (const auto& entry : trace.words(e)) {
           objects[entry.obj].last_access = i;
         }
         break;
@@ -134,7 +134,7 @@ Trace erase_aware_of(const Trace& trace, std::size_t num_processes,
     const Event& e = trace[i];
     if (e.proc == target) continue;
     if (first[e.proc] != kNeverAware && i >= first[e.proc]) continue;
-    out.push_back(e);
+    out.push_back(e, trace.words(e));
   }
   return out;
 }

@@ -1,5 +1,7 @@
 #include "ruco/sim/event.h"
 
+#include <algorithm>
+
 namespace ruco::sim {
 
 const char* to_string(Prim p) noexcept {
@@ -16,14 +18,22 @@ const char* to_string(Prim p) noexcept {
   return "?";
 }
 
-std::string Event::to_string() const {
+bool Event::same_action(const Event& other, std::span<const KcasEntry> words,
+                        std::span<const KcasEntry> other_words) const noexcept {
+  return proc == other.proc && obj == other.obj && prim == other.prim &&
+         arg == other.arg && expected == other.expected &&
+         words.size() == kcas_count && other_words.size() == other.kcas_count &&
+         std::ranges::equal(words, other_words);
+}
+
+std::string Event::to_string(std::span<const KcasEntry> words) const {
   // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
   // "literal" + std::string&& (GCC bug 105651).
   std::string s = "p";
   s += std::to_string(proc);
   if (prim == Prim::kKcas) {
     s += " kcas";
-    for (const auto& entry : kcas) {
+    for (const auto& entry : words) {
       s += " o";
       s += std::to_string(entry.obj);
       s += '(';
@@ -70,7 +80,7 @@ Trace erase_processes(const Trace& trace, const std::vector<bool>& erase) {
   out.reserve(trace.size());
   for (const Event& e : trace) {
     if (e.proc < erase.size() && erase[e.proc]) continue;
-    out.push_back(e);
+    out.push_back(e, trace.words(e));
   }
   return out;
 }

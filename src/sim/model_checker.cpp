@@ -274,7 +274,7 @@ class SubtreeExplorer {
     res_ = LocalResult{};
     base_ = &root.prefix;
     path_.clear();
-    stack_.clear();
+    depth_ = 0;
     resync_to(0);
     const ProcId incoming =
         root.prefix.empty() ? kNoIncoming : root.prefix.back();
@@ -296,14 +296,14 @@ class SubtreeExplorer {
   };
 
   void loop() {
-    while (!stack_.empty()) {
-      Frame& f = stack_.back();
+    while (depth_ != 0) {
+      Frame& f = frames_[depth_ - 1];
       if (f.next >= f.choices.size()) {
-        stack_.pop_back();
+        --depth_;
         if (!path_.empty()) path_.pop_back();
         continue;
       }
-      const std::size_t depth = stack_.size() - 1;
+      const std::size_t depth = depth_ - 1;
       if (synced_ != base_->size() + depth) resync_to(depth);
       const ProcId c = f.choices[f.next];
       // Child sleep set (Godefroid): survivors of sleep ∪ explored
@@ -376,7 +376,12 @@ class SubtreeExplorer {
       fail("max_depth exceeded (non-terminating schedule?)");
       return false;
     }
-    Frame f;
+    // Frames above the stack top keep their vectors' capacity, so a node
+    // allocates only when the DFS reaches a new depth or a wider node.
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    Frame& f = frames_[depth_];
+    f.choices.clear();
+    f.next = 0;
     f.preemptions_left = pl;
     f.crashes_left = cl;
     build_choices(cfg_, sys_, sleep, pl, cl, incoming, f.choices, f.ctx,
@@ -386,8 +391,8 @@ class SubtreeExplorer {
       if (!path_.empty()) path_.pop_back();
       return true;
     }
-    if (cfg_.por) f.sleep = sleep;
-    stack_.push_back(std::move(f));
+    if (cfg_.por) f.sleep.assign(sleep.begin(), sleep.end());
+    ++depth_;
     return true;
   }
 
@@ -417,7 +422,8 @@ class SubtreeExplorer {
   LocalResult res_;
   const std::vector<ProcId>* base_ = nullptr;
   std::vector<ProcId> path_;
-  std::vector<Frame> stack_;
+  std::vector<Frame> frames_;  // DFS stack: frames_[0, depth_)
+  std::size_t depth_ = 0;
   std::vector<ProcId> child_sleep_;
   std::size_t synced_ = 0;  // choices applied to sys_ since its last reset
 };
@@ -760,7 +766,8 @@ std::string render_schedule(const Program& program,
       out += "<process p" + std::to_string(choice) + " not steppable>\n";
       break;
     }
-    out += sys.trace().back().to_string() + "\n";
+    const Event& e = sys.trace().back();
+    out += e.to_string(sys.trace().words(e)) + "\n";
   }
   return out;
 }

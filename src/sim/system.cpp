@@ -298,7 +298,6 @@ void System::apply(ProcId p, const Pending& pending) {
     }
     case Prim::kKcas: {
       // Succeed iff every word matches, then install every desired value.
-      ev.kcas = pending.kcas;
       bool all_match = true;
       for (const auto& entry : pending.kcas) {
         all_match = all_match && (values_[entry.obj] == entry.expected);
@@ -315,7 +314,7 @@ void System::apply(ProcId p, const Pending& pending) {
       break;
     }
   }
-  trace_.push_back(std::move(ev));
+  trace_.push_back(ev, pending.kcas);
   ++clock_;
 }
 
@@ -377,12 +376,13 @@ void System::absorb(Knowledge& k, std::uint64_t index) const {
       if (ev.changed) contribute(os, ev.arg);
       k.high_water = std::max(k.high_water, aw.count());
       break;
-    case Prim::kKcas:
+    case Prim::kKcas: {
       // Observe (and grow aware through) every touched object either way;
       // on success, contribute to every object whose value changed.
-      for (const auto& entry : ev.kcas) aw.unite(k.objects[entry.obj].fam);
+      const auto words = trace_.words(ev);
+      for (const auto& entry : words) aw.unite(k.objects[entry.obj].fam);
       if (ev.observed != 0) {
-        for (const auto& entry : ev.kcas) {
+        for (const auto& entry : words) {
           Knowledge::Object& target = k.objects[entry.obj];
           if (target.value != entry.desired) contribute(target, entry.desired);
         }
@@ -390,10 +390,9 @@ void System::absorb(Knowledge& k, std::uint64_t index) const {
       k.high_water = std::max(k.high_water, aw.count());
       // Every touched object records the access (blocks Definition 1
       // retraction of whatever it last held).
-      for (const auto& entry : ev.kcas) {
-        k.objects[entry.obj].last_access = index;
-      }
+      for (const auto& entry : words) k.objects[entry.obj].last_access = index;
       break;
+    }
   }
   os.last_access = index;
   k.last_step[ev.proc] = index;
@@ -439,16 +438,20 @@ ReplayResult replay_trace(System& fresh, const Trace& script,
       return ReplayResult{false, i, "process not steppable during replay"};
     }
     const Event& got = fresh.trace().back();
-    if (!got.same_action(want)) {
+    const auto got_words = fresh.trace().words(got);
+    const auto want_words = script.words(want);
+    if (!got.same_action(want, got_words, want_words)) {
       return ReplayResult{false, i,
-                          "action mismatch: expected " + want.to_string() +
-                              ", got " + got.to_string()};
+                          "action mismatch: expected " +
+                              want.to_string(want_words) + ", got " +
+                              got.to_string(got_words)};
     }
     if (check_responses &&
         (got.observed != want.observed || got.changed != want.changed)) {
       return ReplayResult{false, i,
-                          "response mismatch: expected " + want.to_string() +
-                              ", got " + got.to_string()};
+                          "response mismatch: expected " +
+                              want.to_string(want_words) + ", got " +
+                              got.to_string(got_words)};
     }
   }
   return ReplayResult{};

@@ -9,7 +9,8 @@ namespace ruco::sim {
 
 namespace {
 
-std::string cell_text(const Event& e, bool mark_trivial) {
+std::string cell_text(const Event& e, std::span<const KcasEntry> words,
+                      bool mark_trivial) {
   std::string s;
   switch (e.prim) {
     case Prim::kRead:
@@ -26,7 +27,7 @@ std::string cell_text(const Event& e, bool mark_trivial) {
       break;
     case Prim::kKcas: {
       s = "kcas";
-      for (const auto& w : e.kcas) s += " o" + std::to_string(w.obj);
+      for (const auto& w : words) s += " o" + std::to_string(w.obj);
       s += e.observed != 0 ? " ok" : " fail";
       break;
     }
@@ -49,7 +50,8 @@ std::string render_trace(const Trace& trace, std::size_t num_processes,
   }
   std::vector<std::string> cells(limit);
   for (std::size_t i = 0; i < limit; ++i) {
-    cells[i] = cell_text(trace[i], options.mark_trivial);
+    cells[i] =
+        cell_text(trace[i], trace.words(trace[i]), options.mark_trivial);
     if (trace[i].proc < num_processes) {
       width[trace[i].proc] =
           std::max(width[trace[i].proc], cells[i].size());

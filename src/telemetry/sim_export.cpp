@@ -117,7 +117,7 @@ std::string slice_name(const Event& e) {
           << (e.observed != 0 ? " ok" : e.spurious ? " spurious" : " fail");
       break;
     case Prim::kKcas:
-      out << e.kcas.size() << "-cas o" << e.obj
+      out << e.kcas_count << "-cas o" << e.obj
           << (e.observed != 0 ? " ok" : " fail");
       break;
   }

@@ -439,6 +439,17 @@ std::vector<Kernel> protocol_kernels() {
   return out;
 }
 
+std::vector<Kernel> all_kernels() {
+  std::vector<Kernel> out = protocol_kernels();
+  out.push_back(make_mcas_resolving_read_kernel());
+  for (const PropagateKernel which :
+       {PropagateKernel::kWide, PropagateKernel::kWideSkip,
+        PropagateKernel::kCounterRepeat, PropagateKernel::kMaxRepeat}) {
+    out.push_back(make_propagate_kernel(which));
+  }
+  return out;
+}
+
 ExploreResult check_kernel(const Kernel& kernel, std::size_t max_violations) {
   ExploreOptions opts;
   opts.invariant = kernel.invariant;
@@ -595,6 +606,16 @@ std::vector<MutationSite> wide_mutation_sites() {
       add_site(out, std::string{propagate_row(which).name} + ":" + w.site,
                w.note, propagate_maker(which), w.field, w.weaker);
     }
+  }
+  return out;
+}
+
+std::vector<MutationSite> all_mutation_sites() {
+  std::vector<MutationSite> out = mutation_sites();
+  for (const auto& sites : {reclaim_mutation_sites(),
+                            mcas_read_mutation_sites(),
+                            wide_mutation_sites()}) {
+    out.insert(out.end(), sites.begin(), sites.end());
   }
   return out;
 }

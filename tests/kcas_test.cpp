@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <type_traits>
 
 #include "ruco/adversary/counter_adversary.h"
 #include "ruco/adversary/lemma_one.h"
@@ -172,6 +174,113 @@ TEST(Kcas, ReplayReproducesKcasResponses) {
   System fresh{prog};
   const auto replay = replay_trace(fresh, sys.trace(), true);
   EXPECT_TRUE(replay.ok) << replay.message;
+}
+
+// ------------------------------------------------------- flat step records
+
+TEST(FlatRecords, EventAndPendingAreTriviallyCopyable) {
+  // Every step copies a Pending and appends an Event: neither may own heap
+  // memory, and the Event stays within 40 bytes.
+  static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) <= 40);
+  static_assert(std::is_trivially_copyable_v<Pending>);
+  static_assert(sizeof(Pending) <= 40);
+}
+
+/// p0 and p1 each read a, then 2-CAS (a, b) from the value seen; p2 writes
+/// an object nobody else touches.
+Program make_two_cas_program() {
+  Program prog;
+  const ObjectId a = prog.add_object(0);
+  const ObjectId b = prog.add_object(0);
+  const ObjectId c = prog.add_object(0);
+  for (int i = 0; i < 2; ++i) {
+    prog.add_process([=](Ctx& ctx) -> Op {
+      const Value seen = co_await ctx.read(a);
+      co_return co_await kcas_two(ctx, a, b, seen, seen, seen + 1, seen + 1);
+    });
+  }
+  prog.add_process([=](Ctx& ctx) -> Op {
+    co_await ctx.write(c, 7);
+    co_return 0;
+  });
+  return prog;
+}
+
+TEST(FlatRecords, SuspendedKcasListsItsWords) {
+  const Program prog = make_two_cas_program();
+  System sys{prog};
+  sys.step(0);  // reads a == 0; suspends on its 2-CAS
+  sys.step(1);  // likewise
+  sys.step(2);
+  const std::vector<KcasEntry> want{KcasEntry{0, 0, 1}, KcasEntry{1, 0, 1}};
+  for (const ProcId p : {0u, 1u}) {
+    const Pending* pending = sys.enabled(p);
+    ASSERT_NE(pending, nullptr);
+    EXPECT_EQ(pending->prim, Prim::kKcas);
+    EXPECT_EQ(pending->obj, 0u);
+    EXPECT_TRUE(std::ranges::equal(pending->kcas, want)) << "p" << p;
+  }
+}
+
+TEST(FlatRecords, ErasedKcasTraceReplaysOnAFreshSystem) {
+  const Program prog = make_two_cas_program();
+  Trace kept;
+  {
+    auto sys = std::make_unique<System>(prog);
+    sys->step(2);
+    sys->step(0);
+    sys->step(0);  // wins: a = b = 1
+    sys->step(1);  // reads a == 1
+    sys->step(1);  // wins: a = b = 2
+    ASSERT_TRUE(all_done(*sys));
+    std::vector<bool> erase(3, false);
+    erase[2] = true;  // nobody observed p2
+    kept = erase_processes(sys->trace(), erase);
+  }  // the copy outlives the System whose steps it records
+  ASSERT_EQ(kept.size(), 4u);
+  EXPECT_TRUE(std::ranges::equal(
+      kept.words(kept[1]),
+      std::vector<KcasEntry>{KcasEntry{0, 0, 1}, KcasEntry{1, 0, 1}}));
+  EXPECT_TRUE(std::ranges::equal(
+      kept.words(kept[3]),
+      std::vector<KcasEntry>{KcasEntry{0, 1, 2}, KcasEntry{1, 1, 2}}));
+  System fresh{prog};
+  const auto replay = replay_trace(fresh, kept, /*check_responses=*/true);
+  EXPECT_TRUE(replay.ok) << replay.message;
+  EXPECT_EQ(fresh.value(0), 2);
+  EXPECT_EQ(fresh.value(1), 2);
+}
+
+TEST(FlatRecords, ReplayComparesKcasWords) {
+  // Same process, object and primitive, different words: an action
+  // mismatch, reported with both events' words.
+  const Program prog = make_two_cas_program();
+  System sys{prog};
+  sys.step(0);
+  sys.step(0);
+  Trace forged;
+  forged.push_back(sys.trace()[0]);
+  forged.push_back(sys.trace()[1],
+                   std::vector<KcasEntry>{KcasEntry{0, 0, 9},
+                                          KcasEntry{1, 0, 1}});
+  System fresh{prog};
+  const auto replay = replay_trace(fresh, forged, false);
+  EXPECT_FALSE(replay.ok);
+  EXPECT_EQ(replay.mismatch_index, 1u);
+  EXPECT_NE(replay.message.find("o0(0->9)"), std::string::npos)
+      << replay.message;
+}
+
+TEST(FlatRecords, OverlongKcasIsRejected) {
+  Program prog;
+  (void)prog.add_object(0);
+  prog.add_process([](Ctx& ctx) -> Op {
+    std::vector<KcasEntry> words(std::size_t{UINT16_MAX} + 1);
+    co_await ctx.kcas(std::move(words));
+    co_return 0;
+  });
+  EXPECT_THROW({ System sys{prog}; }, std::invalid_argument);
 }
 
 TEST(KcasLemmaOne, GeneralizedGrowthBound) {

@@ -28,9 +28,12 @@ TEST(EventString, AllPrimitivesRender) {
   EXPECT_EQ(make_event(Prim::kRead).to_string(), "p3 read o7 -> 5 [trivial]");
   EXPECT_EQ(make_event(Prim::kWrite).to_string(), "p3 write o7 := 9");
   EXPECT_EQ(make_event(Prim::kCas).to_string(), "p3 cas o7(2 -> 9) = ok");
-  Event k = make_event(Prim::kKcas);
-  k.kcas = {KcasEntry{1, 0, 5}, KcasEntry{2, 3, 4}};
-  EXPECT_EQ(k.to_string(), "p3 kcas o1(0->5) o2(3->4) = ok");
+  // A k-CAS event's words live in its trace's pool.
+  Trace trace;
+  const std::vector<KcasEntry> words{KcasEntry{1, 0, 5}, KcasEntry{2, 3, 4}};
+  trace.push_back(make_event(Prim::kKcas), words);
+  const Event& k = trace.back();
+  EXPECT_EQ(k.to_string(trace.words(k)), "p3 kcas o1(0->5) o2(3->4) = ok");
   EXPECT_STREQ(to_string(Prim::kKcas), "kcas");
 }
 
@@ -42,6 +45,27 @@ TEST(EventString, SameActionIgnoresResponses) {
   EXPECT_TRUE(a.same_action(b));
   b.arg = 100;
   EXPECT_FALSE(a.same_action(b));
+}
+
+TEST(EventString, KcasSameActionComparesTheWords) {
+  Trace a;
+  Trace b;
+  const std::vector<KcasEntry> words{KcasEntry{1, 0, 5}, KcasEntry{2, 3, 4}};
+  const std::vector<KcasEntry> other{KcasEntry{1, 0, 5}, KcasEntry{2, 3, 6}};
+  a.push_back(make_event(Prim::kKcas), words);
+  b.push_back(make_event(Prim::kKcas), words);
+  b.push_back(make_event(Prim::kKcas), other);
+  EXPECT_TRUE(a[0].same_action(b[0], a.words(a[0]), b.words(b[0])));
+  EXPECT_FALSE(a[0].same_action(b[1], a.words(a[0]), b.words(b[1])));
+  EXPECT_FALSE(a[0].same_action(b[0])) << "compared without its words";
+}
+
+TEST(EventString, OverlongWordListIsRejected) {
+  Trace trace;
+  const std::vector<KcasEntry> words(std::size_t{UINT16_MAX} + 1);
+  EXPECT_THROW(trace.push_back(make_event(Prim::kKcas), words),
+               std::length_error);
+  EXPECT_TRUE(trace.empty());
 }
 
 TEST(EraseProcesses, OutOfRangeProcIdsAreKept) {

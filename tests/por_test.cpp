@@ -136,6 +136,39 @@ TEST(PorEquivalence, CrashyCasMaxReg) {
                            /*max_crashes=*/2);
 }
 
+// ------------------------------------------------ pinned exploration counts
+
+/// The sleep-set engine's exact counts on the two max registers the
+/// benchmark's model-check jobs explore.  Any change to the engine's
+/// bookkeeping (record layout, frame reuse) must leave every count equal.
+struct PinnedCounts {
+  std::uint64_t executions, nodes, replays, replayed_steps, sleep_pruned;
+};
+
+void expect_pinned_counts(const Program& program, const PinnedCounts& want) {
+  ModelCheckOptions o;
+  o.por = true;
+  const auto got = model_check(program, maxreg_verdict, o);
+  EXPECT_TRUE(got.ok) << got.message;
+  EXPECT_TRUE(got.exhaustive);
+  EXPECT_EQ(got.executions, want.executions);
+  EXPECT_EQ(got.stats.nodes, want.nodes);
+  EXPECT_EQ(got.stats.replays, want.replays);
+  EXPECT_EQ(got.stats.replayed_steps, want.replayed_steps);
+  EXPECT_EQ(got.stats.sleep_pruned, want.sleep_pruned);
+}
+
+TEST(PorPinnedCounts, AlgorithmATreeK3) {
+  auto bundle = simalgos::make_tree_maxreg_program(3);
+  expect_pinned_counts(bundle.program,
+                       {135631, 1898241, 255033, 6416220, 903435});
+}
+
+TEST(PorPinnedCounts, CasMaxRegK3) {
+  auto bundle = simalgos::make_cas_maxreg_program(3);
+  expect_pinned_counts(bundle.program, {35, 128, 35, 84, 0});
+}
+
 // ------------------------------------------------ seeded-bug programs fail
 
 /// Two lost-update incrementers: read o, write o+1 without atomicity; the

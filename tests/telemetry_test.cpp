@@ -224,6 +224,22 @@ TEST(Timeline, CrashedSimRunStillValidates) {
   EXPECT_NE(tl.json().find("crash"), std::string::npos);
 }
 
+TEST(Timeline, KcasCounterRunValidates) {
+  // Slices of k-CAS events name their word count, read from the event;
+  // the words themselves sit in the trace's pool.
+  auto bundle = simalgos::make_kcas_counter_program(3);
+  sim::System sys{bundle.program};
+  sim::run_random(sys, /*seed=*/3, /*max_steps=*/10'000);
+  TimelineWriter tl;
+  sim_timeline(sys, tl);
+  EXPECT_EQ(tl.validate(), "") << tl.validate();
+  EXPECT_NE(tl.json().find("2-cas o"), std::string::npos);
+  const auto report = contention_report(sys);
+  std::uint64_t kcas = 0;
+  for (const auto& o : report.objects) kcas += o.kcas;
+  EXPECT_GE(kcas, bundle.num_incrementers) << "one winning 2-CAS each";
+}
+
 TEST(Timeline, ValidateRejectsUnbalancedSlices) {
   TimelineWriter tl;
   tl.set_process_name(1, "p");

@@ -4,6 +4,7 @@
 #include "ruco/sim/schedulers.h"
 #include "ruco/sim/system.h"
 #include "ruco/sim/trace_render.h"
+#include "ruco/simalgos/programs.h"
 
 namespace ruco::sim {
 namespace {
@@ -70,6 +71,17 @@ TEST(TraceRender, MarkTrivialOffDropsTheDot) {
   const std::string out = render_trace(sys.trace(), 1, options);
   EXPECT_NE(out.find("write o0 := 5"), std::string::npos);
   EXPECT_EQ(out.find("write o0 := 5 ."), std::string::npos);
+}
+
+TEST(TraceRender, KcasCellListsItsWords) {
+  // The k-CAS counter's increment: read its leaf (o1), read the root (o0),
+  // then one 2-CAS over both, whose words the cell lists in order.
+  auto bundle = simalgos::make_kcas_counter_program(2);
+  System sys{bundle.program};
+  run_solo(sys, 0, 100);
+  ASSERT_EQ(sys.trace().size(), 3u);
+  const std::string out = render_trace(sys.trace(), sys.num_processes());
+  EXPECT_NE(out.find("kcas o1 o0 ok"), std::string::npos) << out;
 }
 
 TEST(KnowledgeDot, CrashedProcessKeepsPreCrashEdges) {

@@ -301,18 +301,6 @@ TEST(WmmKernels, ShippedOrdersHaveZeroViolations) {
   }
 }
 
-// Every kernel `rucosim wmm` checks, in its order.
-std::vector<wmm::Kernel> every_kernel() {
-  std::vector<wmm::Kernel> out = wmm::protocol_kernels();
-  out.push_back(wmm::make_mcas_resolving_read_kernel());
-  for (const PropagateKernel which :
-       {PropagateKernel::kWide, PropagateKernel::kWideSkip,
-        PropagateKernel::kCounterRepeat, PropagateKernel::kMaxRepeat}) {
-    out.push_back(wmm::make_propagate_kernel(which));
-  }
-  return out;
-}
-
 TEST(WmmKernels, EveryKernelKeepsItsExecutionCount) {
   // The explorer's execution and state counts at the shipped orders, and
   // the ordered ids of every mutation site.  A change to how the kernels
@@ -337,7 +325,7 @@ TEST(WmmKernels, EveryKernelKeepsItsExecutionCount) {
       {"propagate-counter/repeat", 50, 562},
       {"propagate-max/repeat", 35, 447},
   };
-  const std::vector<wmm::Kernel> kernels = every_kernel();
+  const std::vector<wmm::Kernel> kernels = wmm::all_kernels();
   ASSERT_EQ(kernels.size(), std::size(kCounts));
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     SCOPED_TRACE(kCounts[i].name);
@@ -350,10 +338,8 @@ TEST(WmmKernels, EveryKernelKeepsItsExecutionCount) {
   }
 
   std::vector<std::string> ids;
-  for (const auto& sites :
-       {wmm::mutation_sites(), wmm::reclaim_mutation_sites(),
-        wmm::mcas_read_mutation_sites(), wmm::wide_mutation_sites()}) {
-    for (const wmm::MutationSite& site : sites) ids.push_back(site.id);
+  for (const wmm::MutationSite& site : wmm::all_mutation_sites()) {
+    ids.push_back(site.id);
   }
   const std::vector<std::string> expected_ids = {
       "propagate-counter/conditional:node_load sc->rlx",

@@ -564,15 +564,7 @@ int cmd_wmm(const Args& args) {
   std::cout << "\n== protocol kernels at the shipped orders ==\n";
   ruco::Table kt{
       {"kernel", "executions", "states", "violations", "complete", "verdict"}};
-  std::vector<ruco::wmm::Kernel> kernels = ruco::wmm::protocol_kernels();
-  kernels.push_back(ruco::wmm::make_mcas_resolving_read_kernel());
-  using ruco::wmm::PropagateKernel;
-  for (const PropagateKernel which :
-       {PropagateKernel::kWide, PropagateKernel::kWideSkip,
-        PropagateKernel::kCounterRepeat, PropagateKernel::kMaxRepeat}) {
-    kernels.push_back(ruco::wmm::make_propagate_kernel(which));
-  }
-  for (const auto& kernel : kernels) {
+  for (const auto& kernel : ruco::wmm::all_kernels()) {
     const auto res = ruco::wmm::check_kernel(kernel, max_violations);
     const bool pass = res.ok() && res.complete;
     kt.add(kernel.name, res.executions, res.states, res.violation_count,
@@ -589,15 +581,8 @@ int cmd_wmm(const Args& args) {
 
   std::cout << "\n== mutation driver (each weakened site must be refuted) ==\n";
   ruco::Table mt{{"weakened site", "violations", "pinned", "verdict"}};
-  std::vector<ruco::wmm::MutationOutcome> outcomes =
-      ruco::wmm::run_mutation_driver();
-  for (const auto& sites : {ruco::wmm::reclaim_mutation_sites(),
-                            ruco::wmm::mcas_read_mutation_sites(),
-                            ruco::wmm::wide_mutation_sites()}) {
-    for (auto& m : ruco::wmm::run_mutation_driver(sites)) {
-      outcomes.push_back(std::move(m));
-    }
-  }
+  const std::vector<ruco::wmm::MutationOutcome> outcomes =
+      ruco::wmm::run_mutation_driver(ruco::wmm::all_mutation_sites());
   for (const auto& m : outcomes) {
     mt.add(m.id, m.violation_count, m.pr4_regression ? "PR-4" : "",
            m.found() ? "refuted (ok)" : "NOT REFUTED (FAIL)");
